@@ -77,21 +77,29 @@ def read_cache(path: Union[str, Path]) -> list[CacheRow]:
                 continue
             if rec[0] == "m":  # header line
                 continue
+            where = f"{path}:{reader.line_num}"
+            if len(rec) != len(HEADER):
+                raise DomainError(
+                    f"{where}: expected {len(HEADER)} fields ({','.join(HEADER)}), got {len(rec)}"
+                )
             m, n, label, kind, value, stderr, samples, seed = rec
             if kind not in KINDS:
-                raise DomainError(f"unknown cache kind {kind!r} in {path}")
-            rows.append(
-                CacheRow(
-                    m=int(m),
-                    n=int(n),
-                    q=PhotonPattern.from_label(label),
-                    kind=kind,
-                    value=float(value),
-                    stderr=float(stderr),
-                    samples=int(samples),
-                    seed=int(seed),
+                raise DomainError(f"{where}: unknown cache kind {kind!r}")
+            try:
+                rows.append(
+                    CacheRow(
+                        m=int(m),
+                        n=int(n),
+                        q=PhotonPattern.from_label(label),
+                        kind=kind,
+                        value=float(value),
+                        stderr=float(stderr),
+                        samples=int(samples),
+                        seed=int(seed),
+                    )
                 )
-            )
+            except ValueError as exc:  # DomainError from the pattern label included
+                raise DomainError(f"{where}: {exc}") from None
     return rows
 
 

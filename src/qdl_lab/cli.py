@@ -74,42 +74,68 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _load_config_file(argv: Sequence[str]) -> dict:
-    """Flat key=value config file; flags override its entries."""
-    path = None
-    for i, tok in enumerate(argv):
-        if tok == "--config" and i + 1 < len(argv):
-            path = argv[i + 1]
-        elif tok.startswith("--config="):
-            path = tok.split("=", 1)[1]
-    if path is None:
-        return {}
+_FLAG_WORDS = {"1": True, "true": True, "yes": True, "on": True,
+               "0": False, "false": False, "no": False, "off": False}
+
+
+def _config_value(action: argparse.Action, value: str):
+    """Type one config value the way its command-line option would be."""
+    if action.nargs == 0:  # an on/off flag such as --accept-long
+        if value.lower() not in _FLAG_WORDS:
+            raise ValueError(f"expected one of {', '.join(_FLAG_WORDS)}, got {value!r}")
+        return _FLAG_WORDS[value.lower()]
+    typed = action.type(value) if action.type is not None else value
+    if action.choices is not None and typed not in action.choices:
+        raise ValueError(f"invalid choice {value!r} (choose from {', '.join(action.choices)})")
+    return typed
+
+
+def _load_config_file(path: str, options: dict[str, argparse.Action]) -> dict:
+    """Flat key=value config file, typed per option; flags override its entries."""
+    try:
+        lines = Path(path).read_text().splitlines()
+    except OSError as exc:
+        raise DomainError(f"cannot read config file {path}: {exc.strerror}") from None
     overrides = {}
-    for line in Path(path).read_text().splitlines():
+    for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
+        where = f"{path}:{lineno}"
         if "=" not in line:
-            raise DomainError(f"config line is not key=value: {line!r}")
+            raise DomainError(f"{where}: config line is not key=value: {line!r}")
         key, value = line.split("=", 1)
-        overrides[key.strip().replace("-", "_")] = value.strip()
+        key = key.strip().replace("-", "_")
+        if key not in options:
+            raise DomainError(
+                f"{where}: unknown config key {key!r}; known keys: {', '.join(sorted(options))}"
+            )
+        try:
+            overrides[key] = _config_value(options[key], value.strip())
+        except ValueError as exc:
+            raise DomainError(f"{where}: bad value for {key}: {exc}") from None
     return overrides
 
 
-def _common_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[
+    argparse.ArgumentParser, dict[str, argparse.ArgumentParser], dict[str, argparse.Action]
+]:
+    """The parser, its subcommand parsers by name, and every option by dest."""
+    options: dict[str, argparse.Action] = {}
+
+    def opt(p, *names, **kwargs) -> None:
+        action = p.add_argument(*names, **kwargs)
+        options[action.dest] = action
+
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None, help="RNG seed (generated and printed if absent)")
-    common.add_argument("--workers", type=int, default=1, help="worker processes; 0 = auto")
-    common.add_argument("--out", default=None, help="output CSV path ('-' or absent = stdout)")
-    common.add_argument("--cache", default="gamma_cache.csv", help="user cache CSV (merged over the packaged one)")
-    common.add_argument("--samples", type=int, default=None, help="Monte Carlo sample count override")
-    common.add_argument("--accept-long", action="store_true", help="acknowledge long-running estimations")
+    opt(common, "--seed", type=int, default=None, help="RNG seed (generated and printed if absent)")
+    opt(common, "--workers", type=int, default=1, help="worker processes; 0 = auto")
+    opt(common, "--out", default=None, help="output CSV path ('-' or absent = stdout)")
+    opt(common, "--cache", default="gamma_cache.csv", help="user cache CSV (merged over the packaged one)")
+    opt(common, "--samples", type=int, default=None, help="Monte Carlo sample count override")
+    opt(common, "--accept-long", action="store_true", help="acknowledge long-running estimations")
     common.add_argument("--config", default=None, help="flat key=value config file")
-    return common
 
-
-def build_parser() -> argparse.ArgumentParser:
-    common = _common_parser()
     parser = argparse.ArgumentParser(prog="qdl-lab", description=__doc__)
     parser.add_argument("--version", action="version", version=f"qdl-lab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -123,49 +149,55 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("m", type=int)
     p.add_argument("n", type=int)
     group = p.add_mutually_exclusive_group()
-    group.add_argument("--pattern", default=None, help="dash-joined pattern, e.g. 2-1")
-    group.add_argument(
-        "--all-patterns", action="store_true", help="estimate every pattern of (m, n); the default"
-    )
+    opt(group, "--pattern", default=None, help="dash-joined pattern, e.g. 2-1")
+    opt(group, "--all-patterns", action="store_true", help="estimate every pattern of (m, n); the default")
 
     p = sub.add_parser("keysize", parents=[common], help="minimum pool size log2 K_epsilon")
     p.add_argument("m", type=int, nargs="?")
     p.add_argument("n", type=int, nargs="?")
-    p.add_argument("--xi", type=float, default=1.0)
-    p.add_argument("--eps", type=float, default=None)
-    p.add_argument("--nu", type=int, default=None, help="evaluate the nu-channel-use bound")
-    p.add_argument(
-        "--gamma-source",
-        choices=["no-collision", "cache", "literal"],
-        default="no-collision",
-    )
-    p.add_argument("--gamma", type=float, default=None, help="gamma value for --gamma-source literal")
-    p.add_argument("--fig2", action="store_true", help="sweep n with m = n^3")
-    p.add_argument("--s", type=float, default=0.5, help="epsilon = 2^(-n^s) exponent for --fig2")
-    p.add_argument("--n-max", type=int, default=40, help="largest n in the --fig2 sweep")
+    opt(p, "--xi", type=float, default=1.0)
+    opt(p, "--eps", type=float, default=None)
+    opt(p, "--nu", type=int, default=None, help="evaluate the nu-channel-use bound")
+    opt(p, "--gamma-source", choices=["no-collision", "cache", "literal"], default="no-collision")
+    opt(p, "--gamma", type=float, default=None, help="gamma value for --gamma-source literal")
+    opt(p, "--fig2", action="store_true", help="sweep n with m = n^3")
+    opt(p, "--s", type=float, default=0.5, help="epsilon = 2^(-n^s) exponent for --fig2")
+    opt(p, "--n-max", type=int, default=40, help="largest n in the --fig2 sweep")
 
     p = sub.add_parser("rate", parents=[common], help="rate-loss trade-off from cached gamma values")
-    p.add_argument("--m", dest="m_list", default="10,20,30,40", help="comma-separated mode counts")
-    p.add_argument("--eta-start", type=float, default=0.5)
-    p.add_argument("--eta-stop", type=float, default=1.0)
-    p.add_argument("--eta-steps", type=int, default=26)
-    p.add_argument("--beta", type=float, default=1.0)
-    p.add_argument("--n-max", type=int, default=None)
-    p.add_argument("--svg", default=None, help="SVG chart path (default: derived from --out)")
+    opt(p, "--m", dest="m_list", default="10,20,30,40", help="comma-separated mode counts")
+    opt(p, "--eta-start", type=float, default=0.5)
+    opt(p, "--eta-stop", type=float, default=1.0)
+    opt(p, "--eta-steps", type=int, default=26)
+    opt(p, "--beta", type=float, default=1.0)
+    opt(p, "--n-max", type=int, default=None)
+    opt(p, "--svg", default=None, help="SVG chart path (default: derived from --out)")
 
     p = sub.add_parser("simulate", parents=[common], help="end-to-end protocol simulation")
     p.add_argument("m", type=int)
     p.add_argument("n", type=int)
-    p.add_argument("--K", type=int, default=16)
-    p.add_argument("--xi", type=float, default=1.0)
-    p.add_argument("--eta", type=float, default=1.0)
-    p.add_argument("--trials", type=int, default=10_000)
-    p.add_argument("--transcript", default=None, help="write per-trial transcript CSV here")
+    opt(p, "--K", type=int, default=16)
+    opt(p, "--xi", type=float, default=1.0)
+    opt(p, "--eta", type=float, default=1.0)
+    opt(p, "--trials", type=int, default=10_000)
+    opt(p, "--transcript", default=None, help="write per-trial transcript CSV here")
 
     p = sub.add_parser("tables", parents=[common], help="re-estimate a published table")
     p.add_argument("which", choices=["I", "II", "III", "IV", "V"])
 
-    return parser
+    return parser, sub.choices, options
+
+
+def _parse_args(argv: Sequence[str]) -> argparse.Namespace:
+    """Parse argv; a --config file supplies defaults that flags override."""
+    parser, commands, options = _build_parser()
+    args = parser.parse_args(argv)
+    if args.config is None:
+        return args
+    overrides = _load_config_file(args.config, options)
+    for p in commands.values():
+        p.set_defaults(**overrides)
+    return parser.parse_args(argv)
 
 
 def cmd_dim(args: argparse.Namespace) -> int:
@@ -440,23 +472,8 @@ _HANDLERS = {
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    overrides = _load_config_file(argv)
-    if overrides:
-        typed: dict = {}
-        for key, value in overrides.items():
-            if key in ("seed", "workers", "samples", "K", "trials", "nu", "n_max", "eta_steps"):
-                typed[key] = int(value)
-            elif key in ("xi", "eta", "eps", "beta", "gamma", "s", "eta_start", "eta_stop"):
-                typed[key] = float(value)
-            else:
-                typed[key] = value
-        parser.set_defaults(**typed)
-        for sub_action in parser._subparsers._group_actions:
-            for sub in sub_action.choices.values():
-                sub.set_defaults(**typed)
-    args = parser.parse_args(argv)
     try:
+        args = _parse_args(argv)
         return _HANDLERS[args.command](args)
     except DomainError as exc:
         _msg(f"error: {exc}")

@@ -88,11 +88,11 @@ def stiefel_batch(rng: np.random.Generator, count: int, m: int, ncols: int) -> n
 
 
 def permanent(a: np.ndarray, cap: int = PERMANENT_CAP) -> Amplitude:
-    """Exact permanent of a square complex matrix via Ryser's formula.
+    """Exact permanent of a square complex matrix via Glynn's formula.
 
-    Subsets are walked in Gray-code order so each step updates the row
-    sums with a single column; compensated accumulation is switched on
-    for k >= 16 where the alternating sum starts losing digits.
+    Sign vectors are walked in Gray-code order so each step updates the
+    column sums with a single row; compensated accumulation is switched
+    on for k >= 16 where the alternating sum starts losing digits.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -106,40 +106,39 @@ def permanent(a: np.ndarray, cap: int = PERMANENT_CAP) -> Amplitude:
 
 
 def _permanent_batch(a: np.ndarray) -> np.ndarray:
-    """Ryser permanents of a stack of k-by-k matrices, shape (b, k, k)."""
+    """Glynn permanents of a stack of k-by-k matrices, shape (b, k, k).
+
+    perm(A) = 2^-(k-1) sum_delta (prod_i delta_i) prod_j sum_i delta_i a_ij
+    over sign vectors with delta_0 = +1.  Column sums live in a contiguous
+    (k, b) array and each Gray-code step flips one row's sign.
+    """
     b, k, _ = a.shape
-    row_sums = np.zeros((b, k), dtype=complex)
-    total = np.zeros(b, dtype=complex)
+    rows = np.transpose(a, (1, 2, 0)).astype(complex, order="C")  # (row, col, b) copy
+    col_sums = rows.sum(axis=0)
+    rows *= 2.0
+    total = np.prod(col_sums, axis=0)
     comp = np.zeros(b, dtype=complex)
+    term = np.empty(b, dtype=complex)
     compensated = k >= 16
-    gray = 0
-    for idx in range(1, 1 << k):
-        new_gray = idx ^ (idx >> 1)
-        bit = gray ^ new_gray
-        j = bit.bit_length() - 1
-        if new_gray & bit:
-            row_sums += a[:, :, j]
+    negated = 0  # bit j set: row j + 1 has sign -1
+    for step in range(1, 1 << (k - 1)):
+        bit = step & -step
+        negated ^= bit
+        if negated & bit:
+            col_sums -= rows[bit.bit_length()]
         else:
-            row_sums -= a[:, :, j]
-        gray = new_gray
-        sign = -1.0 if (new_gray.bit_count() % 2) else 1.0
-        term = sign * np.prod(row_sums, axis=1)
+            col_sums += rows[bit.bit_length()]
+        np.prod(col_sums, axis=0, out=term)
+        if step & 1:  # one sign flips per step, so the parity alternates
+            np.negative(term, out=term)
         if compensated:
             # Neumaier update keeps the alternating sum accurate
             t = total + term
-            lost = np.where(
-                np.abs(total) >= np.abs(term),
-                (total - t) + term,
-                (term - t) + total,
-            )
-            comp += lost
+            comp += np.where(np.abs(total) >= np.abs(term), (total - t) + term, (term - t) + total)
             total = t
         else:
             total += term
-    total += comp
-    if k % 2:
-        total = -total
-    return total
+    return (total + comp) / (1 << (k - 1))
 
 
 def _expanded_indices(config: ModeConfig) -> list[int]:
@@ -184,7 +183,7 @@ def output_distribution(
 ) -> np.ndarray:
     """Photodetection probabilities over the canonical basis for U|in>.
 
-    All d permanents are evaluated in one batched Ryser pass.
+    All d permanents are evaluated in one batched Glynn pass.
     """
     m = u.m
     n = config_in.n

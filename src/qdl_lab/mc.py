@@ -168,8 +168,10 @@ def estimate_moments(
     plan = _chunk_plan(samples)
     tasks = [(m, n, q.parts, seed, idx, size) for idx, size in plan]
     if workers > 1 and len(tasks) > 1:
+        # at most 8 chunks per dispatch, but never fewer batches than workers
+        chunksize = min(8, math.ceil(len(tasks) / workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunk_sums = list(pool.map(_chunk_power_sums, tasks, chunksize=8))
+            chunk_sums = list(pool.map(_chunk_power_sums, tasks, chunksize=chunksize))
     else:
         chunk_sums = [_chunk_power_sums(t) for t in tasks]
     s = _neumaier_combine(chunk_sums)

@@ -1,6 +1,8 @@
 import subprocess
 import sys
 
+import pytest
+
 from qdl_lab import cli
 
 
@@ -119,6 +121,21 @@ class TestKeysize:
             capsys,
         )
         assert code == 3
+
+    @pytest.mark.parametrize(
+        "row,message",
+        [("6,2,2,two_gamma,4.6", "expected 8 fields"), ("6,2,2,two_gamma,abc,0.1,100,1", "'abc'")],
+        ids=["five-fields", "not-a-number"],
+    )
+    def test_bad_cache_row_usage_error(self, tmp_path, capsys, row, message):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("m,n,q,kind,value,stderr,samples,seed\n" + row + "\n")
+        code, _, err = run_cli(
+            ["keysize", "6", "2", "--eps", "0.01", "--gamma-source", "cache", "--cache", str(bad)],
+            capsys,
+        )
+        assert code == 2
+        assert f"{bad}:2:" in err and message in err
 
     def test_missing_eps_usage_error(self, capsys):
         code, _, _ = run_cli(["keysize", "6", "2"], capsys)
@@ -241,6 +258,41 @@ class TestConfigFile:
             capsys,
         )
         assert ",1500,1" in out_path.read_text()
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("seed=1\nsamples\n", ":2: config line is not key=value"),
+            ("samples=abc\n", ":1: bad value for samples"),
+            ("# typo\nsampels=2500\n", ":2: unknown config key 'sampels'"),
+            ("gamma-source=bogus\n", ":1: bad value for gamma_source: invalid choice"),
+        ],
+        ids=["no-equals", "not-an-int", "unknown-key", "bad-choice"],
+    )
+    def test_bad_config_usage_error(self, tmp_path, capsys, text, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        code, _, err = run_cli(
+            ["estimate", "c", "4", "2", "--config", str(cfg), "--cache", str(tmp_path / "c.csv")],
+            capsys,
+        )
+        assert code == 2
+        assert f"{cfg}{message}" in err
+        assert not (tmp_path / "c.csv").exists()
+
+    def test_missing_config_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "absent.cfg"
+        code, _, err = run_cli(["dim", "3", "2", "--config", str(cfg)], capsys)
+        assert code == 2
+        assert str(cfg) in err
+
+    def test_key_of_another_command_accepted(self, tmp_path, capsys):
+        # one config file may serve several commands
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("trials=50\naccept-long=yes\n")
+        code, out, _ = run_cli(["dim", "3", "2", "--config", str(cfg)], capsys)
+        assert code == 0
+        assert "3,2,6," in out
 
 
 class TestEntryPoint:

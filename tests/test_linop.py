@@ -11,6 +11,7 @@ from qdl_lab.errors import DomainError
 from qdl_lab.fock import ModeConfig, enumerate_basis, rank
 from qdl_lab.linop import (
     UnitaryMatrix,
+    _permanent_batch,
     dagger,
     haar_batch,
     haar_unitary,
@@ -48,13 +49,18 @@ class TestPermanent:
     def test_empty(self):
         assert permanent(np.zeros((0, 0))) == pytest.approx(1)
 
-    @pytest.mark.parametrize("k", range(1, 7))
+    @pytest.mark.parametrize("k", range(1, 9))
     def test_matches_naive_expansion(self, k):
         rng = np.random.default_rng(k)
         a = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
         expected = naive_permanent(a)
         got = permanent(a)
         assert abs(got - expected) <= 1e-10 * max(abs(expected), 1.0)
+        # the batched path, b > 1, matrix by matrix
+        stack = np.stack([a, rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)), a.T])
+        for value, mat in zip(_permanent_batch(stack), stack):
+            expected = naive_permanent(mat)
+            assert abs(value - expected) <= 1e-10 * max(abs(expected), 1.0)
 
     def test_compensated_branch_agrees(self):
         # k = 16 activates the compensated accumulation
@@ -65,6 +71,25 @@ class TestPermanent:
         # with rows permuted (the permanent is row-permutation invariant)
         shuffled = a[np.argsort(rng.standard_normal(16))]
         assert permanent(shuffled) == pytest.approx(got, rel=1e-8)
+
+    @pytest.mark.parametrize("k,blocks", [(16, (4, 4, 4, 4)), (18, (6, 6, 6))])
+    def test_compensated_branch_closed_forms(self, k, blocks):
+        # rank one: perm(u v^T) = k! prod u_i prod v_j; block diagonal:
+        # the product of the blocks' permanents
+        rng = np.random.default_rng(k)
+        u, v = rng.standard_normal((2, k)) + 1j * rng.standard_normal((2, k))
+        block_diag = np.zeros((k, k), dtype=complex)
+        expected_block = 1.0 + 0.0j
+        start = 0
+        for size in blocks:
+            blk = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+            block_diag[start:start + size, start:start + size] = blk
+            expected_block *= naive_permanent(blk)
+            start += size
+        got = _permanent_batch(np.stack([np.outer(u, v), block_diag]))
+        expected_rank_one = math.factorial(k) * np.prod(u) * np.prod(v)
+        assert abs(got[0] - expected_rank_one) <= 1e-9 * abs(expected_rank_one)
+        assert abs(got[1] - expected_block) <= 1e-9 * abs(expected_block)
 
     def test_rejects_nonsquare_and_oversize(self):
         with pytest.raises(DomainError):
