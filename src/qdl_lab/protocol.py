@@ -20,11 +20,14 @@ import numpy as np
 
 from .errors import DomainError, ResourceError
 from .fock import CodeBook, ModeConfig, dim_hilbert, sample_codebook, unrank
-from .linop import UnitaryMatrix, haar_batch, output_distribution
+from .linop import BLOCK_BYTES, UnitaryMatrix, haar_batch, output_distribution, output_distributions
 
 SHARD = 4096
 
-#: Cap on trials * d, the cost driver of the blind-measurement diagnostics.
+#: Cap on trials * d.  The blind diagnostic draws one of d outcomes per
+#: trial, from the d-point distributions of up to one (k, x) pair per trial,
+#: so trials * d bounds its permanents.  The codebook has its own cap
+#: (fock.CODEBOOK_CAP); both raise ResourceError, exit code 4 in the CLI.
 DEFAULT_BUDGET = 50_000_000
 
 LN2 = math.log(2.0)
@@ -161,15 +164,17 @@ def decode_with_key(
     clicks = received.n
     if clicks > codebook.n:
         raise DomainError(f"{clicks} clicks exceed the {codebook.n}-photon codewords")
-    det = received.occupations
-    compatible = tuple(
-        i
-        for i, cw in enumerate(codebook.codewords)
-        if all(cw.occupations[j] >= det[j] for j in range(len(det)))
-    )
-    if len(compatible) == 1:
-        return DecodeResult(decoded=compatible[0], ambiguity=compatible)
-    return DecodeResult(decoded=None, ambiguity=compatible)
+    occ = np.array([cw.occupations for cw in codebook.codewords])
+    mask = _compatible(occ, np.array([received.occupations]))[0]
+    compatible = tuple(np.flatnonzero(mask).tolist())
+    decoded = compatible[0] if len(compatible) == 1 else None
+    return DecodeResult(decoded=decoded, ambiguity=compatible)
+
+
+def _compatible(codewords: np.ndarray, detected: np.ndarray) -> np.ndarray:
+    """(T, M) mask: row j of the (M, m) occupancy matrix ``codewords`` holds
+    every photon of row t of the (T, m) matrix ``detected``."""
+    return (detected[:, None, :] <= codewords[None, :, :]).all(axis=2)
 
 
 def eavesdrop_photodetect(handle: StateHandle, rng: np.random.Generator) -> ModeConfig:
@@ -221,6 +226,15 @@ def _shard_rng(seed: int, shard_idx: int) -> np.random.Generator:
 def _run_shard(
     args: tuple[ProtocolConfig, int, int, int, bool]
 ) -> tuple[dict, dict, int, list[TrialRecord]]:
+    """Trials ``start .. start+count-1``, as array operations over the shard.
+
+    The shard's stream draws messages, keys, blind uniforms and loss masks,
+    in that order.  Keyed decoding counts the codewords that hold every
+    detected photon, for blocks of trials of at most ``BLOCK_BYTES``
+    comparisons; a lone compatible codeword is the sent one.  Blind
+    outcomes come from ``_photodetect``.  Count tables list their keys in
+    order of first appearance, as a per-trial loop would fill them.
+    """
     config, shard_idx, start, count, collect = args
     codebook = _codebook_for(config)
     pool = _pool_for(config)
@@ -232,47 +246,67 @@ def _run_shard(
     u_blind = rng.random(size=count)
     keep = rng.random(size=(count, n)) < config.eta
 
-    dist_cum: dict[tuple[int, int], np.ndarray] = {}
-    keyed_counts: dict = {}
-    blind_counts: dict = {}
-    successes = 0
-    records: list[TrialRecord] = []
-    for t in range(count):
-        x, k = int(xs[t]), int(ks[t])
-        codeword = codebook[x]
-        occ = list(codeword.occupations)
-        for slot, mode in enumerate(codeword.modes):
-            if not keep[t, slot]:
-                occ[mode] = 0
-        detected = ModeConfig(tuple(occ))
-        result = decode_with_key(k, pool, detected, codebook)
-        if result.decoded == x:
-            successes += 1
-        key_y = detected.occupations
-        keyed_counts[(x, key_y)] = keyed_counts.get((x, key_y), 0) + 1
+    occ = np.array([cw.occupations for cw in codebook.codewords], dtype=np.int8)  # (M, m)
+    modes = np.nonzero(occ)[1].reshape(M, n)  # loss-mask slot -> mode
+    detected = occ[xs]
+    lost_t, lost_slot = np.nonzero(~keep)
+    detected[lost_t, modes[xs[lost_t], lost_slot]] = 0
+    step = max(1, BLOCK_BYTES // (M * config.m))
+    ambiguity = np.concatenate(
+        [_compatible(occ, detected[s:s + step]).sum(axis=1) for s in range(0, count, step)]
+    )
+    z = _photodetect(np.stack([u.entries for u in pool]), modes, xs, ks, u_blind)
 
-        pair = (k, x)
-        if pair not in dist_cum:
-            dist_cum[pair] = np.cumsum(
-                output_distribution(pool[k], codebook[x])
-            )
-        z = int(np.searchsorted(dist_cum[pair], u_blind[t]))
-        z = min(z, len(dist_cum[pair]) - 1)
-        blind_counts[(x, z)] = blind_counts.get((x, z), 0) + 1
+    first, counts = _tally(np.column_stack((xs, keep)))
+    keyed_counts = {
+        (int(xs[t]), tuple(detected[t].tolist())): int(c) for t, c in zip(first, counts)
+    }
+    first, counts = _tally(np.column_stack((xs, z)))
+    blind_counts = {(int(xs[t]), int(z[t])): int(c) for t, c in zip(first, counts)}
+    columns = zip(xs.tolist(), ks.tolist(), detected.tolist(), ambiguity.tolist())
+    records = [
+        TrialRecord(start + t, x, k, sum(det), ModeConfig(tuple(det)), x if amb == 1 else None, amb)
+        for t, (x, k, det, amb) in enumerate(columns if collect else ())
+    ]
+    return keyed_counts, blind_counts, int((ambiguity == 1).sum()), records
 
-        if collect:
-            records.append(
-                TrialRecord(
-                    trial=start + t,
-                    x=x,
-                    k=k,
-                    clicks=detected.n,
-                    detected=detected,
-                    decoded=result.decoded,
-                    ambiguity=len(result.ambiguity),
-                )
-            )
-    return keyed_counts, blind_counts, successes, records
+
+def _photodetect(
+    units: np.ndarray, modes: np.ndarray, xs: np.ndarray, ks: np.ndarray, u: np.ndarray
+) -> np.ndarray:
+    """Key-blind photodetection outcome index of every trial.
+
+    Each distinct (k, x) pair's distribution is computed once, for blocks
+    of pairs whose permanent input fits ``BLOCK_BYTES``.  Its trials draw
+    by inverse CDF on their ``u``: ``(cum < u).sum()`` is
+    ``searchsorted(cum, u, side="left")``, clipped to d - 1 as rounding
+    may leave the last cumulative value below u.
+    """
+    M, n = modes.shape
+    d = dim_hilbert(units.shape[1], n)
+    pairs, pair_of = np.unique(ks * M + xs, return_inverse=True)
+    order = np.argsort(pair_of, kind="stable")
+    bounds = np.searchsorted(pair_of[order], np.arange(len(pairs) + 1))  # pair i: bounds[i:i + 2]
+    pair_step = max(1, BLOCK_BYTES // (16 * n * n * d))
+    trial_step = max(1, BLOCK_BYTES // (8 * d))
+    z = np.empty(len(xs), dtype=np.intp)
+    for s in range(0, len(pairs), pair_step):
+        block = pairs[s:s + pair_step]
+        cum = np.cumsum(output_distributions(units, block // M, modes[block % M]), axis=1)
+        trials = order[bounds[s]:bounds[min(s + pair_step, len(pairs))]]
+        for c in range(0, len(trials), trial_step):
+            t = trials[c:c + trial_step]
+            z[t] = np.minimum((cum[pair_of[t] - s] < u[t, None]).sum(axis=1), d - 1)
+    return z
+
+
+def _tally(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First index and count of each distinct row of ``keys``, by first index."""
+    order = np.lexsort(keys.T)  # stable: a run of equal rows starts at its first index
+    starts = np.flatnonzero(np.r_[True, (np.diff(keys[order], axis=0) != 0).any(axis=1)])
+    first, counts = order[starts], np.diff(np.r_[starts, len(keys)])
+    by_first = np.argsort(first)
+    return first[by_first], counts[by_first]
 
 
 def _codebook_for(config: ProtocolConfig) -> CodeBook:
@@ -293,10 +327,15 @@ def run_trials(
 ) -> TrialSummary:
     """Simulate the protocol and report empirical diagnostics.
 
-    Trials are sharded by index with per-shard RNG streams, so the
-    transcript is identical for any worker count.  The summary carries
+    Trials are sharded by index (``SHARD`` per shard) with per-shard RNG
+    streams, so the transcript is identical for any worker count.  Each
+    shard runs as one batched pass (``_run_shard``) whose temporaries are
+    bounded by ``linop.BLOCK_BYTES`` per block.  The summary carries
     plug-in mutual-information estimates for the keyed receiver and for
     a key-blind photodetector, with their standard bias bounds.
+
+    trials * d above ``budget`` and a codebook above ``fock.CODEBOOK_CAP``
+    raise ResourceError before any trial runs.
     """
     d = dim_hilbert(config.m, config.n)
     if config.trials * d > budget:
@@ -304,6 +343,7 @@ def run_trials(
             f"trials*d = {config.trials * d} exceeds budget {budget}; "
             "reduce trials or raise the budget"
         )
+    M = len(_codebook_for(config))
     shards = []
     start = 0
     idx = 0
@@ -330,7 +370,6 @@ def run_trials(
         successes += succ
         records.extend(recs)
 
-    M = len(_codebook_for(config))
     n_keyed_y = len({y for _, y in keyed_counts})
     n_blind_y = len({y for _, y in blind_counts})
     bias = lambda ny: (M - 1) * (ny - 1) / (2.0 * config.trials * LN2)

@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -200,6 +201,15 @@ class TestSimulate:
         )
         assert code == 4
 
+    def test_codebook_cap_exit_code(self, capsys):
+        # d = 7.6 M passes the trials*d budget; C(60, 5) = 5.46 M codewords
+        # do not pass the codebook cap, which is checked before any sampling
+        start = time.perf_counter()
+        code, _, err = run_cli(["simulate", "60", "5", "--trials", "1", "--seed", "1"], capsys)
+        assert code == 4
+        assert "codebook size 5461512 exceeds cap" in err
+        assert time.perf_counter() - start < 1.0
+
 
 class TestTables:
     def test_table_ii_small_samples(self, tmp_path, capsys):
@@ -305,10 +315,10 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert "3,2,6," in proc.stdout
 
-    def test_generated_seed_printed(self):
+    def test_generated_seed_printed(self, tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "qdl_lab.cli", "estimate", "gamma", "4", "2",
-             "--samples", "1500", "--cache", "/tmp/qdl_cli_seedtest_cache.csv"],
+             "--samples", "1500", "--cache", str(tmp_path / "cache.csv")],
             capture_output=True,
             text=True,
         )

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -9,6 +10,7 @@ from qdl_lab.fock import (
     CodeBook,
     ModeConfig,
     PhotonPattern,
+    basis_tables,
     codeword_config,
     config_for_pattern,
     dim_hilbert,
@@ -84,6 +86,16 @@ class TestEnumeration:
     def test_descending_lex_order(self):
         basis = [c.occupations for c in enumerate_basis(5, 3)]
         assert basis == sorted(basis, reverse=True)
+
+    @pytest.mark.parametrize("m,n", [(1, 3), (4, 1), (5, 3), (3, 6)])
+    def test_basis_tables(self, m, n):
+        cols, norms = basis_tables(m, n)
+        basis = enumerate_basis(m, n)
+        assert cols.tolist() == [list(cfg.modes) for cfg in basis]
+        assert norms.tolist() == [math.prod(map(math.factorial, cfg)) for cfg in basis]
+        assert not cols.flags.writeable and not norms.flags.writeable
+        with pytest.raises(ResourceError):
+            basis_tables(m, n, cap=len(basis) - 1)
 
 
 class TestRankUnrank:
@@ -184,6 +196,13 @@ class TestCodebook:
     def test_min_one_codeword(self):
         cb = sample_codebook(6, 2, 0.01, rng=1)
         assert cb.M == 1
+
+    def test_cap_before_sampling(self):
+        # C(60, 5) = 5 461 512 codewords; the check precedes any draw
+        rng = np.random.default_rng(0)
+        with pytest.raises(ResourceError):
+            sample_codebook(60, 5, 1.0, rng=rng)
+        assert rng.random() == np.random.default_rng(0).random()
 
     def test_rejects_bad_xi(self):
         with pytest.raises(DomainError):

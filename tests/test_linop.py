@@ -7,7 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import fock_column
-from qdl_lab.errors import DomainError
+from qdl_lab import linop
+from qdl_lab.errors import DomainError, ResourceError
 from qdl_lab.fock import ModeConfig, enumerate_basis, rank
 from qdl_lab.linop import (
     UnitaryMatrix,
@@ -16,6 +17,7 @@ from qdl_lab.linop import (
     haar_batch,
     haar_unitary,
     output_distribution,
+    output_distributions,
     permanent,
     stiefel_batch,
     transition_amplitude,
@@ -135,6 +137,17 @@ class TestHaar:
         se = math.sqrt(a.var() / samples + b.var() / samples)
         assert a.mean() == pytest.approx(b.mean(), abs=4 * se)
 
+    def test_blocked_qr_matches_one_shot(self):
+        # 1100 frames of 20 x 10 span several QR blocks, the last one partial
+        count, m, k = 1100, 20, 10
+        assert count % (linop.BLOCK_BYTES // (16 * m * k)) != 0
+        got = stiefel_batch(np.random.default_rng(8), count, m, k)
+        rng = np.random.default_rng(8)
+        g = rng.standard_normal((count, m, k)) + 1j * rng.standard_normal((count, m, k))
+        q, r = np.linalg.qr(g)
+        d = np.einsum("...ii->...i", r)
+        assert np.array_equal(got, q * (d / np.abs(d))[:, None, :])
+
     def test_rejects_bad_m(self):
         with pytest.raises(DomainError):
             haar_unitary(0, 1)
@@ -235,6 +248,28 @@ class TestOutputDistribution:
             expected = np.abs(fock_column(u.entries, cfg)) ** 2
             got = output_distribution(u, cfg)
             assert np.abs(got - expected).max() < 1e-9
+
+    def test_blocks_change_no_bit(self, monkeypatch):
+        # d = 35 outputs of 5 inputs in blocks of 20, 7 and 4 outputs; one
+        # input alone then goes in blocks of 20.  No block holds a single
+        # matrix: the kernel's last bits for a batch of one differ from
+        # those for larger batches.
+        m, n = 5, 3
+        units = haar_batch(np.random.default_rng(4), 3, m)
+        keys = np.array([2, 0, 1, 2, 0])
+        rows = np.array([[0, 1, 2], [0, 0, 4], [1, 3, 4], [2, 2, 2], [0, 1, 2]])
+        whole = output_distributions(units, keys, rows)
+        for outputs in (20, 7, 4):
+            monkeypatch.setattr(linop, "BLOCK_BYTES", 16 * n * n * len(keys) * outputs)
+            assert np.array_equal(output_distributions(units, keys, rows), whole)
+        for i in (0, 2):
+            u = UnitaryMatrix(units[keys[i]])
+            cfg = ModeConfig(tuple(np.bincount(rows[i], minlength=m)))
+            assert np.array_equal(output_distribution(u, cfg), whole[i])
+
+    def test_cap(self):
+        with pytest.raises(ResourceError):
+            output_distribution(haar_unitary(6, 1), ModeConfig((1, 1, 1, 0, 0, 0)), cap=50)
 
     def test_dagger_inverts_at_2_1(self):
         u = haar_unitary(2, 5)

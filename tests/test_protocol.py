@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,11 +6,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from qdl_lab import protocol
 from qdl_lab.bounds import mutual_info_lossy
 from qdl_lab.errors import DomainError, ResourceError
 from qdl_lab.fock import ModeConfig, num_codewords, sample_codebook
+from qdl_lab.linop import output_distribution
 from qdl_lab.protocol import (
     ProtocolConfig,
+    TrialRecord,
     decode_with_key,
     eavesdrop_photodetect,
     empirical_mutual_info,
@@ -264,3 +268,107 @@ class TestRunTrials:
                 for k in range(K):
                     res = decode_with_key(k, pool, cb[x], cb)
                     assert res.decoded == x
+
+
+def _loop_shard(args):
+    """The per-trial simulator loop, kept as the reference for the batched shard."""
+    config, shard_idx, start, count, collect = args
+    codebook = protocol._codebook_for(config)
+    pool = protocol._pool_for(config)
+    rng = protocol._shard_rng(config.seed, shard_idx)
+    M, K, n = len(codebook), config.K, config.n
+
+    xs = rng.integers(0, M, size=count)
+    ks = rng.integers(0, K, size=count)
+    u_blind = rng.random(size=count)
+    keep = rng.random(size=(count, n)) < config.eta
+
+    dist_cum = {}
+    keyed_counts = {}
+    blind_counts = {}
+    successes = 0
+    records = []
+    for t in range(count):
+        x, k = int(xs[t]), int(ks[t])
+        codeword = codebook[x]
+        occ = list(codeword.occupations)
+        for slot, mode in enumerate(codeword.modes):
+            if not keep[t, slot]:
+                occ[mode] = 0
+        detected = ModeConfig(tuple(occ))
+        compatible = [
+            i
+            for i, cw in enumerate(codebook.codewords)
+            if all(c >= v for c, v in zip(cw.occupations, occ))
+        ]
+        decoded = compatible[0] if len(compatible) == 1 else None
+        if decoded == x:
+            successes += 1
+        key_y = detected.occupations
+        keyed_counts[(x, key_y)] = keyed_counts.get((x, key_y), 0) + 1
+
+        pair = (k, x)
+        if pair not in dist_cum:
+            dist_cum[pair] = np.cumsum(output_distribution(pool[k], codeword))
+        z = int(np.searchsorted(dist_cum[pair], u_blind[t]))
+        z = min(z, len(dist_cum[pair]) - 1)
+        blind_counts[(x, z)] = blind_counts.get((x, z), 0) + 1
+
+        if collect:
+            records.append(
+                TrialRecord(
+                    trial=start + t,
+                    x=x,
+                    k=k,
+                    clicks=detected.n,
+                    detected=detected,
+                    decoded=decoded,
+                    ambiguity=len(compatible),
+                )
+            )
+    return keyed_counts, blind_counts, successes, records
+
+
+ORACLE_GRID = [
+    ProtocolConfig(m=4, n=2, K=1, eta=1.0, trials=600, seed=21),
+    ProtocolConfig(m=5, n=2, K=6, eta=0.5, xi=0.6, trials=1500, seed=22),
+    ProtocolConfig(m=6, n=3, K=8, eta=0.0, trials=800, seed=23),
+    ProtocolConfig(m=8, n=3, K=64, eta=0.8, trials=1024, seed=24),
+    ProtocolConfig(m=6, n=1, K=5, eta=0.7, trials=700, seed=25),
+    ProtocolConfig(m=4, n=2, K=8, eta=0.5, trials=9000, seed=26),  # 3 shards
+]
+
+
+def _grid_id(c):
+    return f"{c.m}-{c.n}-K{c.K}-eta{c.eta}-xi{c.xi}-T{c.trials}"
+
+
+class TestSimulatorOracle:
+    @pytest.mark.parametrize("config", ORACLE_GRID, ids=_grid_id)
+    def test_shards_match_loop(self, config):
+        start, idx = 0, 0
+        while start < config.trials:
+            count = min(protocol.SHARD, config.trials - start)
+            args = (config, idx, start, count, True)
+            got, want = protocol._run_shard(args), _loop_shard(args)
+            # count tables equal in content and in insertion order
+            assert list(got[0].items()) == list(want[0].items())
+            assert list(got[1].items()) == list(want[1].items())
+            assert got[2] == want[2]
+            assert got[3] == want[3]
+            start, idx = start + count, idx + 1
+
+    @pytest.mark.parametrize("collect", [False, True])
+    @pytest.mark.parametrize("config", ORACLE_GRID, ids=_grid_id)
+    def test_summary_matches_loop(self, config, collect, monkeypatch):
+        monkeypatch.setattr(protocol, "_run_shard", _loop_shard)
+        want = run_trials(config, collect_records=collect)
+        monkeypatch.undo()
+        mi = ("keyed_mi_bits", "blind_mi_bits")
+        for workers in (1, 2):
+            got = run_trials(config, workers=workers, collect_records=collect)
+            for name in mi:
+                assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-12)
+            assert dataclasses.replace(got, **dict.fromkeys(mi, 0.0)) == dataclasses.replace(
+                want, **dict.fromkeys(mi, 0.0)
+            )
