@@ -36,7 +36,6 @@ from .fock import (
 )
 from .linop import (
     UnitaryMatrix,
-    dagger,
     haar_unitary,
     output_distribution,
     permanent,

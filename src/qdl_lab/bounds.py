@@ -107,6 +107,46 @@ def _resolve_log2_M(
     return math.log2(xi) + log2_num_codewords(m, n)
 
 
+def _k_epsilon(
+    m: int, n: int, nu: int, l2M: float, l2c: float, eps: float, gamma: float, a: float, b: float
+) -> KeySizeReport:
+    """K_eps for nu channel uses, with heavy-tail constants ``a`` and ``b``.
+
+    The bound evaluated is the module docstring's with d^nu, gamma^nu and
+    c_min^nu, and ``a`` / ``b`` in place of 256 / 32 in the heavy-tail
+    branch; ``l2M`` and ``l2c`` are log2 M and log2 c_min.
+    """
+    l2d = log2_dim_hilbert(m, n)
+    ln_eps = math.log(eps)
+    ln_M = l2M * LN2
+    ln_c = l2c * LN2
+    ln_d = l2d * LN2
+
+    # ln(20 / (eps c_min^nu)) — already a log, safe as a plain float
+    ln_inner = math.log(20.0) - ln_eps - nu * ln_c
+    term_a = math.log(a) - 3.0 * ln_eps + nu * ln_d - ln_M + math.log(ln_inner)
+    term_b = math.log(b) - 2.0 * ln_eps + math.log(ln_M) if ln_M > 0.0 else -math.inf
+    ln_maurer = nu * math.log(gamma) + np.logaddexp(term_a, term_b)
+    ln_chernoff = (
+        math.log(32.0) - 2.0 * ln_eps + 2.0 * math.log(LN2 + nu * ln_d) - ln_M - nu * ln_c
+    )
+    ln_k = max(ln_maurer, ln_chernoff)
+    return KeySizeReport(
+        log2_M=l2M,
+        log2_K_epsilon=ln_k / LN2,
+        active_branch="maurer" if ln_maurer >= ln_chernoff else "chernoff",
+        gamma_used=gamma,
+        log2_c_min=l2c,
+        m=m,
+        n=n,
+        nu=nu,
+        epsilon=eps,
+        log2_d=l2d,
+        log2_maurer=ln_maurer / LN2,
+        log2_chernoff=ln_chernoff / LN2,
+    )
+
+
 def k_epsilon_single(
     m: int,
     n: int,
@@ -131,40 +171,7 @@ def k_epsilon_single(
         raise DomainError(f"need gamma >= 1, got {gamma}")
     l2c = _resolve_log2_c_min(c_min, log2_c_min)
     l2M = _resolve_log2_M(m, n, M, xi)
-    l2d = log2_dim_hilbert(m, n)
-
-    ln_eps = math.log(epsilon)
-    ln_M = l2M * LN2
-    ln_d = l2d * LN2
-    ln_c = l2c * LN2
-
-    # ln(20 / (eps c_min)) — already a log, safe as a plain float
-    ln_inner = math.log(20.0) - ln_eps - ln_c
-
-    term_a = math.log(256.0) - 3.0 * ln_eps + ln_d - ln_M + math.log(ln_inner)
-    term_b = (
-        math.log(32.0) - 2.0 * ln_eps + math.log(ln_M) if ln_M > 0.0 else -math.inf
-    )
-    ln_maurer = math.log(gamma) + np.logaddexp(term_a, term_b)
-    ln_chernoff = (
-        math.log(32.0) - 2.0 * ln_eps + 2.0 * math.log(LN2 + ln_d) - ln_M - ln_c
-    )
-
-    ln_k = max(ln_maurer, ln_chernoff)
-    return KeySizeReport(
-        log2_M=l2M,
-        log2_K_epsilon=ln_k / LN2,
-        active_branch="maurer" if ln_maurer >= ln_chernoff else "chernoff",
-        gamma_used=gamma,
-        log2_c_min=l2c,
-        m=m,
-        n=n,
-        nu=1,
-        epsilon=epsilon,
-        log2_d=l2d,
-        log2_maurer=ln_maurer / LN2,
-        log2_chernoff=ln_chernoff / LN2,
-    )
+    return _k_epsilon(m, n, 1, l2M, l2c, epsilon, gamma, 256.0, 32.0)
 
 
 def k_epsilon_multi(
@@ -192,43 +199,8 @@ def k_epsilon_multi(
     if not 0.0 < xi <= 1.0:
         raise DomainError(f"need 0 < xi <= 1, got {xi}")
     l2c = _resolve_log2_c_min(c_min, log2_c_min)
-    l2d = log2_dim_hilbert(m, n)
-    l2C = log2_num_codewords(m, n)
-    l2M = math.log2(xi) + nu * l2C
-
-    ln_eps = math.log(epsilon)
-    ln_M = l2M * LN2
-    ln_c = l2c * LN2
-    ln_d = l2d * LN2
-
-    ln_inner = math.log(20.0) - ln_eps - nu * ln_c
-    term_a = math.log(512.0) - 3.0 * ln_eps + nu * ln_d - ln_M + math.log(ln_inner)
-    term_b = (
-        math.log(64.0) - 2.0 * ln_eps + math.log(ln_M) if ln_M > 0.0 else -math.inf
-    )
-    ln_maurer = nu * math.log(gamma) + np.logaddexp(term_a, term_b)
-    ln_chernoff = (
-        math.log(32.0)
-        - 2.0 * ln_eps
-        + 2.0 * math.log(LN2 + nu * ln_d)
-        - ln_M
-        - nu * ln_c
-    )
-    ln_k = max(ln_maurer, ln_chernoff)
-    return KeySizeReport(
-        log2_M=l2M,
-        log2_K_epsilon=ln_k / LN2,
-        active_branch="maurer" if ln_maurer >= ln_chernoff else "chernoff",
-        gamma_used=gamma,
-        log2_c_min=l2c,
-        m=m,
-        n=n,
-        nu=nu,
-        epsilon=epsilon,
-        log2_d=l2d,
-        log2_maurer=ln_maurer / LN2,
-        log2_chernoff=ln_chernoff / LN2,
-    )
+    l2M = math.log2(xi) + nu * log2_num_codewords(m, n)
+    return _k_epsilon(m, n, nu, l2M, l2c, epsilon, gamma, 512.0, 64.0)
 
 
 def key_consumption_rate(
@@ -314,6 +286,12 @@ def rate_loss_curve(
     """
     from .cache import lookup_two_gamma_bunched
 
+    if m < 1:
+        raise DomainError(f"need m >= 1, got {m}")
+    if n_max is not None and n_max < 1:
+        raise DomainError(f"need n_max >= 1, got {n_max}")
+    if not 0.0 <= beta <= 1.0:
+        raise DomainError(f"need 0 <= beta <= 1, got {beta}")
     if n_max is None:
         n_max = m
     n_max = min(n_max, m)

@@ -50,6 +50,8 @@ def _resolve_seed(args: argparse.Namespace) -> int:
 
 
 def _resolve_workers(args: argparse.Namespace) -> int:
+    if args.workers < 0:
+        raise DomainError(f"need --workers >= 0 (0 = auto), got {args.workers}")
     if args.workers == 0:
         return os.cpu_count() or 1
     return args.workers
@@ -238,28 +240,17 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         raise DomainError(f"need n <= m, got ({args.m}, {args.n})")
     patterns = _patterns_for(args)
     samples = args.samples or (DEFAULT_C_SAMPLES if args.kind == "c" else DEFAULT_GAMMA_SAMPLES)
-    rows = []
     cache_rows = []
     for q in patterns:
         est = mc.estimate_moments(args.m, args.n, q, samples, seed, workers)
+        row = lambda kind, value, stderr: cache.CacheRow(args.m, args.n, q, kind, value, stderr, samples, seed)
         if args.kind == "gamma":
-            two_gamma = 2.0 * est.ratio
-            stderr = 2.0 * est.stderr_ratio
-            rows.append([args.m, args.n, q.label(), "two_gamma", _fmt(two_gamma), _fmt(stderr), samples, seed])
-            cache_rows.append(
-                cache.CacheRow(args.m, args.n, q, "two_gamma", two_gamma, stderr, samples, seed)
-            )
+            cache_rows.append(row("two_gamma", 2.0 * est.ratio, 2.0 * est.stderr_ratio))
         else:
             fac = q.norm_factor()
-            rows.append([args.m, args.n, q.label(), "c", _fmt(est.mean), _fmt(est.stderr_mean), samples, seed])
-            rows.append(
-                [args.m, args.n, q.label(), "raw_c", _fmt(fac * est.mean), _fmt(fac * est.stderr_mean), samples, seed]
-            )
-            cache_rows.append(cache.CacheRow(args.m, args.n, q, "c", est.mean, est.stderr_mean, samples, seed))
-            cache_rows.append(
-                cache.CacheRow(args.m, args.n, q, "raw_c", fac * est.mean, fac * est.stderr_mean, samples, seed)
-            )
-    _write_csv(args.out, "estimate", seed, cache.HEADER, rows)
+            cache_rows.append(row("c", est.mean, est.stderr_mean))
+            cache_rows.append(row("raw_c", fac * est.mean, fac * est.stderr_mean))
+    _write_csv(args.out, "estimate", seed, cache.HEADER, [r.as_csv_row() for r in cache_rows])
     cache.append_rows(args.cache, cache_rows)
     _msg(f"appended {len(cache_rows)} record(s) to {args.cache}")
     return 0
@@ -342,7 +333,10 @@ def cmd_keysize(args: argparse.Namespace) -> int:
 
 def cmd_rate(args: argparse.Namespace) -> int:
     seed = args.seed if args.seed is not None else 0
-    m_list = [int(tok) for tok in args.m_list.split(",") if tok]
+    try:
+        m_list = [int(tok) for tok in args.m_list.split(",") if tok]
+    except ValueError:
+        raise DomainError(f"--m needs comma-separated integers, got {args.m_list!r}") from None
     if args.eta_steps < 2 or not (0.0 <= args.eta_start < args.eta_stop <= 1.0):
         raise DomainError("need 0 <= eta-start < eta-stop <= 1 and eta-steps >= 2")
     etas = [

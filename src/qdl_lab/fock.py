@@ -365,8 +365,7 @@ def sample_codebook(m: int, n: int, xi: float, rng: Union[int, np.random.Generat
         raise ResourceError(
             f"codebook size {M} exceeds cap {CODEBOOK_CAP} for (m, n, xi) = ({m}, {n}, {xi})"
         )
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(int(rng))
+    rng = np.random.default_rng(rng)
     if C <= 1_000_000:
         picks = rng.permutation(C)[:M]
     else:

@@ -67,9 +67,7 @@ def haar_unitary(m: int, rng: Union[int, np.random.Generator]) -> UnitaryMatrix:
     """
     if m < 1:
         raise DomainError(f"need m >= 1, got {m}")
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(int(rng))
-    return UnitaryMatrix(haar_batch(rng, 1, m)[0])
+    return UnitaryMatrix(haar_batch(np.random.default_rng(rng), 1, m)[0])
 
 
 def haar_batch(rng: np.random.Generator, count: int, m: int) -> np.ndarray:
@@ -144,14 +142,22 @@ def _permanent_batch(a: np.ndarray) -> np.ndarray:
         np.prod(col_sums, axis=0, out=term)
         if step & 1:  # one sign flips per step, so the parity alternates
             np.negative(term, out=term)
-        if compensated:
-            # Neumaier update keeps the alternating sum accurate
-            t = total + term
-            comp += np.where(np.abs(total) >= np.abs(term), (total - t) + term, (term - t) + total)
-            total = t
+        if compensated:  # keeps the alternating sum accurate
+            total = _neumaier_add(total, comp, term)
         else:
             total += term
     return (total + comp) / (1 << (k - 1))
+
+
+def _neumaier_add(total: np.ndarray, comp: np.ndarray, term: np.ndarray) -> np.ndarray:
+    """Neumaier-compensated ``total + term``, elementwise.
+
+    Returns the new total and adds the low-order part it lost to ``comp``
+    in place; the compensated sum is ``total + comp``.
+    """
+    t = total + term
+    comp += np.where(np.abs(total) >= np.abs(term), (total - t) + term, (term - t) + total)
+    return t
 
 
 def transition_amplitude(
@@ -226,8 +232,3 @@ def output_distributions(
         batch = np.moveaxis(sub.reshape(n, n, -1), 2, 0)
         perms[:, t:t + step] = _permanent_batch(batch).reshape(-1, p).T
     return np.abs(perms) ** 2 / (in_norm * out_norms)
-
-
-def dagger(u: UnitaryMatrix) -> UnitaryMatrix:
-    """Conjugate transpose (the decoding unitary for a keyed receiver)."""
-    return u.dagger()

@@ -9,7 +9,8 @@ c_q is E[X]; the tables' convention "2 gamma_q" is 2 E[X^2] / E[X]^2.
 Samples are accumulated in fixed 4096-sample chunks whose RNG streams
 derive from (seed, chunk index), and chunk sums are combined in index
 order with compensated addition, so results are bit-identical for any
-worker count.
+worker count.  ``fan_out`` is the package's one process-pool map; the
+protocol simulator runs its shards through it too.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -30,7 +31,7 @@ from .fock import (
     enumerate_patterns,
     log2_dim_hilbert,
 )
-from .linop import _permanent_batch, stiefel_batch
+from .linop import _neumaier_add, _permanent_batch, stiefel_batch
 
 CHUNK = 4096
 
@@ -86,23 +87,26 @@ class GammaBound:
     argmax: PhotonPattern
 
 
-def _chunk_rng(seed: int, chunk_idx: int) -> np.random.Generator:
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(chunk_idx),))
-    return np.random.Generator(np.random.PCG64(ss))
+def fan_out(fn: Callable, tasks: Sequence, workers: int) -> list:
+    """``[fn(t) for t in tasks]``, in task order.
 
-
-def _pattern_columns(q: PhotonPattern) -> np.ndarray:
-    cols: list[int] = []
-    for j, qj in enumerate(q.parts):
-        cols.extend([j] * qj)
-    return np.array(cols, dtype=np.intp)
+    With ``workers > 1`` and two or more tasks the calls run in a process
+    pool that lives for this call only, at most 8 tasks per dispatch but
+    never fewer batches than workers.  Results do not depend on
+    ``workers``.
+    """
+    if workers > 1 and len(tasks) > 1:
+        chunksize = min(8, math.ceil(len(tasks) / workers))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, tasks, chunksize=chunksize))
+    return [fn(t) for t in tasks]
 
 
 def _chunk_power_sums(args: tuple[int, int, tuple[int, ...], int, int, int]) -> np.ndarray:
     """Power sums (sum X, sum X^2, sum X^3, sum X^4) for one chunk."""
     m, n, parts, seed, chunk_idx, count = args
-    q = PhotonPattern(parts)
-    rng = _chunk_rng(seed, chunk_idx)
+    # spawn_key form: no list entropy gives this stream once seed >= 2**32
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(chunk_idx,)))
     ncols = len(parts)
     frame = stiefel_batch(rng, count, m, ncols)
     if ncols == 1:
@@ -110,19 +114,9 @@ def _chunk_power_sums(args: tuple[int, int, tuple[int, ...], int, int, int]) -> 
         # submatrix collapses to n! times a product of column entries
         x = np.prod(np.abs(frame[:, :n, 0]) ** 2, axis=1) * math.factorial(n)
     else:
-        a = frame[:, :n, :][:, :, _pattern_columns(q)]
-        x = np.abs(_permanent_batch(a)) ** 2 / q.norm_factor()
+        a = frame[:, :n, :][:, :, np.repeat(np.arange(ncols), parts)]
+        x = np.abs(_permanent_batch(a)) ** 2 / PhotonPattern(parts).norm_factor()
     return np.array([x.sum(), (x**2).sum(), (x**3).sum(), (x**4).sum()])
-
-
-def _neumaier_combine(rows: Sequence[np.ndarray]) -> np.ndarray:
-    total = np.zeros(4)
-    comp = np.zeros(4)
-    for row in rows:
-        t = total + row
-        comp += np.where(np.abs(total) >= np.abs(row), (total - t) + row, (row - t) + total)
-        total = t
-    return total + comp
 
 
 def _validate(m: int, n: int, q: PhotonPattern, samples: int) -> None:
@@ -136,18 +130,6 @@ def _validate(m: int, n: int, q: PhotonPattern, samples: int) -> None:
         raise DomainError(f"need samples >= {MIN_SAMPLES}, got {samples}")
 
 
-def _chunk_plan(samples: int) -> list[tuple[int, int]]:
-    plan = []
-    idx = 0
-    left = samples
-    while left > 0:
-        size = min(CHUNK, left)
-        plan.append((idx, size))
-        left -= size
-        idx += 1
-    return plan
-
-
 def estimate_moments(
     m: int,
     n: int,
@@ -158,23 +140,23 @@ def estimate_moments(
 ) -> MomentEstimate:
     """Monte Carlo moments of X = |<phi_q|U|psi>|^2 under Haar U.
 
-    Deterministic for a given seed regardless of ``workers``.  The ratio
+    The samples are cut into ``CHUNK``-sized chunks, each with its own
+    stream, which ``fan_out`` maps over ``workers`` processes; their power
+    sums are added in chunk order with compensation, so the result is
+    deterministic for a given seed regardless of ``workers``.  The ratio
     standard error comes from first-order propagation with the sample
     covariance of (X, X^2); a block bootstrap over chunk sums takes over
     when the propagated estimate is degenerate.
     """
     q = as_pattern(q)
     _validate(m, n, q, samples)
-    plan = _chunk_plan(samples)
-    tasks = [(m, n, q.parts, seed, idx, size) for idx, size in plan]
-    if workers > 1 and len(tasks) > 1:
-        # at most 8 chunks per dispatch, but never fewer batches than workers
-        chunksize = min(8, math.ceil(len(tasks) / workers))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunk_sums = list(pool.map(_chunk_power_sums, tasks, chunksize=chunksize))
-    else:
-        chunk_sums = [_chunk_power_sums(t) for t in tasks]
-    s = _neumaier_combine(chunk_sums)
+    sizes = [min(CHUNK, samples - start) for start in range(0, samples, CHUNK)]
+    tasks = [(m, n, q.parts, seed, idx, size) for idx, size in enumerate(sizes)]
+    chunk_sums = fan_out(_chunk_power_sums, tasks, workers)
+    s, comp = np.zeros(4), np.zeros(4)
+    for row in chunk_sums:
+        s = _neumaier_add(s, comp, row)
+    s += comp
     nN = float(samples)
     m1, m2, m3, m4 = (float(v) for v in s / nN)
 
@@ -187,7 +169,7 @@ def estimate_moments(
     rel_var = var22 / m2**2 + 4.0 * var_x / m1**2 - 4.0 * cov12 / (m1 * m2)
     stderr_ratio = ratio * math.sqrt(max(rel_var, 0.0) / nN)
     if not math.isfinite(stderr_ratio) or rel_var <= 0.0 or stderr_ratio > 0.5 * ratio:
-        stderr_ratio = _bootstrap_ratio_stderr(chunk_sums, plan, seed)
+        stderr_ratio = _bootstrap_ratio_stderr(chunk_sums, sizes, seed)
 
     return MomentEstimate(
         mean=m1,
@@ -203,13 +185,13 @@ def estimate_moments(
 
 
 def _bootstrap_ratio_stderr(
-    chunk_sums: Sequence[np.ndarray], plan: Sequence[tuple[int, int]], seed: int
+    chunk_sums: Sequence[np.ndarray], sizes: Sequence[int], seed: int
 ) -> float:
     """Block bootstrap of E[X^2]/E[X]^2 over per-chunk sums."""
     sums = np.array([row[:2] for row in chunk_sums])
-    sizes = np.array([size for _, size in plan], dtype=float)
-    k = len(plan)
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=[int(seed), 0xB007])))
+    sizes = np.array(sizes, dtype=float)
+    k = len(sizes)
+    rng = np.random.default_rng([seed, 0xB007])
     ratios = np.empty(_BOOTSTRAP_RESAMPLES)
     for b in range(_BOOTSTRAP_RESAMPLES):
         pick = rng.integers(0, k, size=k)

@@ -12,7 +12,6 @@ photon number.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence, Union
 
@@ -21,6 +20,7 @@ import numpy as np
 from .errors import DomainError, ResourceError
 from .fock import CodeBook, ModeConfig, dim_hilbert, sample_codebook, unrank
 from .linop import BLOCK_BYTES, UnitaryMatrix, haar_batch, output_distribution, output_distributions
+from .mc import fan_out
 
 SHARD = 4096
 
@@ -113,11 +113,7 @@ def gen_unitary_pool(
     """K i.i.d. Haar unitaries; bitwise stable for a given seed."""
     if K < 1:
         raise DomainError(f"need K >= 1, got {K}")
-    if isinstance(seed, (int, np.integer)):
-        rng = np.random.default_rng(int(seed))
-    else:
-        rng = seed
-    return tuple(UnitaryMatrix(u) for u in haar_batch(rng, K, m))
+    return tuple(UnitaryMatrix(u) for u in haar_batch(np.random.default_rng(seed), K, m))
 
 
 def encode(x: int, k: int, codebook: CodeBook, pool: Sequence[UnitaryMatrix]) -> StateHandle:
@@ -218,35 +214,30 @@ def empirical_mutual_info(counts: Union[Mapping, np.ndarray]) -> float:
     return max(acc, 0.0)
 
 
-def _shard_rng(seed: int, shard_idx: int) -> np.random.Generator:
-    ss = np.random.SeedSequence(entropy=[int(seed), 3, int(shard_idx)])
-    return np.random.Generator(np.random.PCG64(ss))
-
-
 def _run_shard(
-    args: tuple[ProtocolConfig, int, int, int, bool]
+    args: tuple[ProtocolConfig, np.ndarray, np.ndarray, int, int, int, bool]
 ) -> tuple[dict, dict, int, list[TrialRecord]]:
     """Trials ``start .. start+count-1``, as array operations over the shard.
 
-    The shard's stream draws messages, keys, blind uniforms and loss masks,
-    in that order.  Keyed decoding counts the codewords that hold every
-    detected photon, for blocks of trials of at most ``BLOCK_BYTES``
-    comparisons; a lone compatible codeword is the sent one.  Blind
-    outcomes come from ``_photodetect``.  Count tables list their keys in
-    order of first appearance, as a per-trial loop would fill them.
+    ``occ`` is the (M, m) int8 codeword occupancy matrix and ``units`` the
+    (K, m, m) stack of pool unitaries, both built once by ``run_trials``.
+    The shard's stream ``[seed, 3, shard_idx]`` draws messages, keys,
+    blind uniforms and loss masks, in that order.  Keyed decoding counts
+    the codewords that hold every detected photon, for blocks of trials of
+    at most ``BLOCK_BYTES`` comparisons; a lone compatible codeword is the
+    sent one.  Blind outcomes come from ``_photodetect``.  Count tables
+    list their keys in order of first appearance, as a per-trial loop
+    would fill them.
     """
-    config, shard_idx, start, count, collect = args
-    codebook = _codebook_for(config)
-    pool = _pool_for(config)
-    rng = _shard_rng(config.seed, shard_idx)
-    M, K, n = len(codebook), config.K, config.n
+    config, occ, units, shard_idx, start, count, collect = args
+    rng = np.random.default_rng([config.seed, 3, shard_idx])
+    M, K, n = len(occ), len(units), config.n
 
     xs = rng.integers(0, M, size=count)
     ks = rng.integers(0, K, size=count)
     u_blind = rng.random(size=count)
     keep = rng.random(size=(count, n)) < config.eta
 
-    occ = np.array([cw.occupations for cw in codebook.codewords], dtype=np.int8)  # (M, m)
     modes = np.nonzero(occ)[1].reshape(M, n)  # loss-mask slot -> mode
     detected = occ[xs]
     lost_t, lost_slot = np.nonzero(~keep)
@@ -255,7 +246,7 @@ def _run_shard(
     ambiguity = np.concatenate(
         [_compatible(occ, detected[s:s + step]).sum(axis=1) for s in range(0, count, step)]
     )
-    z = _photodetect(np.stack([u.entries for u in pool]), modes, xs, ks, u_blind)
+    z = _photodetect(units, modes, xs, ks, u_blind)
 
     first, counts = _tally(np.column_stack((xs, keep)))
     keyed_counts = {
@@ -309,16 +300,6 @@ def _tally(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return first[by_first], counts[by_first]
 
 
-def _codebook_for(config: ProtocolConfig) -> CodeBook:
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=[config.seed, 2])))
-    return sample_codebook(config.m, config.n, config.xi, rng)
-
-
-def _pool_for(config: ProtocolConfig) -> tuple[UnitaryMatrix, ...]:
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=[config.seed, 1])))
-    return gen_unitary_pool(config.m, config.K, rng)
-
-
 def run_trials(
     config: ProtocolConfig,
     workers: int = 1,
@@ -327,15 +308,18 @@ def run_trials(
 ) -> TrialSummary:
     """Simulate the protocol and report empirical diagnostics.
 
+    The codebook (stream ``[seed, 2]``) and the K-unitary pool (stream
+    ``[seed, 1]``) are sampled once and handed to every shard as arrays.
     Trials are sharded by index (``SHARD`` per shard) with per-shard RNG
-    streams, so the transcript is identical for any worker count.  Each
+    streams, and ``mc.fan_out`` maps the shards over ``workers``
+    processes, so the transcript is identical for any worker count.  Each
     shard runs as one batched pass (``_run_shard``) whose temporaries are
     bounded by ``linop.BLOCK_BYTES`` per block.  The summary carries
     plug-in mutual-information estimates for the keyed receiver and for
     a key-blind photodetector, with their standard bias bounds.
 
     trials * d above ``budget`` and a codebook above ``fock.CODEBOOK_CAP``
-    raise ResourceError before any trial runs.
+    raise ResourceError, in that order, before any trial runs.
     """
     d = dim_hilbert(config.m, config.n)
     if config.trials * d > budget:
@@ -343,20 +327,16 @@ def run_trials(
             f"trials*d = {config.trials * d} exceeds budget {budget}; "
             "reduce trials or raise the budget"
         )
-    M = len(_codebook_for(config))
-    shards = []
-    start = 0
-    idx = 0
-    while start < config.trials:
-        size = min(SHARD, config.trials - start)
-        shards.append((config, idx, start, size, collect_records))
-        start += size
-        idx += 1
-    if workers > 1 and len(shards) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_run_shard, shards, chunksize=1))
-    else:
-        parts = [_run_shard(s) for s in shards]
+    codebook = sample_codebook(config.m, config.n, config.xi, np.random.default_rng([config.seed, 2]))
+    pool = gen_unitary_pool(config.m, config.K, np.random.default_rng([config.seed, 1]))
+    occ = np.array([cw.occupations for cw in codebook.codewords], dtype=np.int8)
+    units = np.stack([u.entries for u in pool])
+    M = len(occ)
+    shards = [
+        (config, occ, units, idx, start, min(SHARD, config.trials - start), collect_records)
+        for idx, start in enumerate(range(0, config.trials, SHARD))
+    ]
+    parts = fan_out(_run_shard, shards, workers)
 
     keyed_counts: dict = {}
     blind_counts: dict = {}

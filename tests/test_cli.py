@@ -1,3 +1,4 @@
+import hashlib
 import subprocess
 import sys
 import time
@@ -171,6 +172,25 @@ class TestRate:
         rates = [float(line.split(",")[3]) for line in body]
         assert any(r < 0 for r in rates)
 
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--m", "10,abc"], "--m needs comma-separated integers"),
+            (["--m", "0"], "need m >= 1"),
+            (["--m", "-4"], "need m >= 1"),
+            (["--m", "10", "--n-max", "0"], "need n_max >= 1"),
+            (["--m", "10", "--n-max", "-3"], "need n_max >= 1"),
+            (["--m", "10", "--beta", "2"], "need 0 <= beta <= 1"),
+        ],
+        ids=["not-an-int", "zero-modes", "negative-modes", "zero-n-max", "negative-n-max", "beta-above-1"],
+    )
+    def test_bad_input_usage_error(self, tmp_path, capsys, flags, message):
+        out_path = tmp_path / "rate.csv"
+        code, _, err = run_cli(["rate", *flags, "--out", str(out_path)], capsys)
+        assert code == 2
+        assert message in err
+        assert not out_path.exists()
+
 
 class TestSimulate:
     def test_noiseless(self, capsys):
@@ -234,13 +254,59 @@ class TestTables:
         lines = out_path.read_text().splitlines()
         assert lines[1] == "m,n,q,c,stderr_c,raw_c,stderr_raw,published"
 
-    def test_long_run_guard(self, capsys):
-        code, _, err = run_cli(["tables", "V", "--seed", "1"], capsys)
-        # full table V at 1e6 samples trips the long-run guard without the flag
-        if code == 2:
-            assert "--accept-long" in err
-        else:
-            assert code == 0  # fast machines may fit under the threshold
+    def test_long_run_guard(self, capsys, monkeypatch):
+        # with no time allowed, any table is a long run and needs the flag
+        monkeypatch.setattr(cli, "LONG_RUN_SECONDS", 0.0)
+        code, out, err = run_cli(["tables", "V", "--seed", "1"], capsys)
+        assert code == 2
+        assert "--accept-long" in err
+        assert out == ""
+
+    def test_short_run_passes_guard(self, tmp_path, capsys):
+        out_path = tmp_path / "t5.csv"
+        code, _, err = run_cli(
+            ["tables", "V", "--samples", "1000", "--seed", "1", "--out", str(out_path)], capsys
+        )
+        assert code == 0, err
+        assert len(out_path.read_text().splitlines()) == 2 + 20
+
+
+class TestWorkers:
+    def test_negative_workers_usage_error(self, capsys):
+        code, _, err = run_cli(
+            ["simulate", "4", "2", "--trials", "10", "--seed", "1", "--workers", "-3"], capsys
+        )
+        assert code == 2
+        assert "--workers" in err
+
+
+class TestGolden:
+    """Values recorded from fixed seeds; a change to any RNG stream fails here."""
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_estimate_value(self, tmp_path, capsys, workers):
+        code, out, _ = run_cli(
+            ["estimate", "gamma", "10", "2", "--pattern", "1-1", "--samples", "9000", "--seed", "3",
+             "--workers", workers, "--cache", str(tmp_path / "c.csv")],
+            capsys,
+        )
+        assert code == 0
+        assert out.splitlines()[2] == "10,2,1-1,two_gamma,4.613358587936898,0.08588800275316344,9000,3"
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_simulate_transcript(self, tmp_path, capsys, workers):
+        transcript = tmp_path / "t.csv"
+        code, _, _ = run_cli(
+            ["simulate", "5", "2", "--K", "6", "--eta", "0.5", "--xi", "0.6", "--trials", "9000",
+             "--seed", "22", "--workers", workers, "--transcript", str(transcript)],
+            capsys,
+        )
+        assert code == 0
+        header, body = transcript.read_text().split("\n", 1)  # the header names the version
+        assert header == "# qdl-lab v" + cli.__version__ + " cmd=simulate-transcript seed=22"
+        assert hashlib.sha256(body.encode()).hexdigest() == (
+            "b6ab354b1b86505270dd3056309d977654dfdf3be52cf191c193fcd0f7c81c8b"
+        )
 
 
 class TestConfigFile:

@@ -13,7 +13,6 @@ from qdl_lab.fock import ModeConfig, enumerate_basis, rank
 from qdl_lab.linop import (
     UnitaryMatrix,
     _permanent_batch,
-    dagger,
     haar_batch,
     haar_unitary,
     output_distribution,
@@ -197,7 +196,7 @@ class TestTransitionAmplitude:
 
     def test_dagger_symmetry(self):
         u = haar_unitary(4, 17)
-        v = dagger(u)
+        v = u.dagger()
         for a in enumerate_basis(4, 2)[:4]:
             for b in enumerate_basis(4, 2)[:4]:
                 lhs = abs(transition_amplitude(u, a, b))
@@ -275,6 +274,6 @@ class TestOutputDistribution:
         u = haar_unitary(2, 5)
         basis = enumerate_basis(2, 1)
         mat_u = np.array([output_distribution(u, cfg) for cfg in basis])
-        mat_v = np.array([output_distribution(dagger(u), cfg) for cfg in basis])
+        mat_v = np.array([output_distribution(u.dagger(), cfg) for cfg in basis])
         # doubly stochastic transition matrices of inverse maps are transposes
         assert np.allclose(mat_v, mat_u.T, atol=1e-12)

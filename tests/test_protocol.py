@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from qdl_lab import protocol
 from qdl_lab.bounds import mutual_info_lossy
 from qdl_lab.errors import DomainError, ResourceError
-from qdl_lab.fock import ModeConfig, num_codewords, sample_codebook
-from qdl_lab.linop import output_distribution
+from qdl_lab.fock import CodeBook, ModeConfig, num_codewords, sample_codebook
+from qdl_lab.linop import UnitaryMatrix, output_distribution
 from qdl_lab.protocol import (
     ProtocolConfig,
     TrialRecord,
@@ -270,12 +270,27 @@ class TestRunTrials:
                     assert res.decoded == x
 
 
+def _stream(*entropy):
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=list(entropy))))
+
+
+def _shard_args(config, collect):
+    """The shard arguments run_trials builds, with the codebook and pool streams spelled out."""
+    codebook = sample_codebook(config.m, config.n, config.xi, _stream(config.seed, 2))
+    pool = gen_unitary_pool(config.m, config.K, _stream(config.seed, 1))
+    occ = np.array([cw.occupations for cw in codebook.codewords], dtype=np.int8)
+    units = np.stack([u.entries for u in pool])
+    for idx, start in enumerate(range(0, config.trials, protocol.SHARD)):
+        count = min(protocol.SHARD, config.trials - start)
+        yield config, occ, units, idx, start, count, collect
+
+
 def _loop_shard(args):
     """The per-trial simulator loop, kept as the reference for the batched shard."""
-    config, shard_idx, start, count, collect = args
-    codebook = protocol._codebook_for(config)
-    pool = protocol._pool_for(config)
-    rng = protocol._shard_rng(config.seed, shard_idx)
+    config, occ, units, shard_idx, start, count, collect = args
+    codebook = CodeBook(tuple(ModeConfig(tuple(row)) for row in occ.tolist()))
+    pool = tuple(UnitaryMatrix(u) for u in units)
+    rng = _stream(config.seed, 3, shard_idx)
     M, K, n = len(codebook), config.K, config.n
 
     xs = rng.integers(0, M, size=count)
@@ -346,17 +361,13 @@ def _grid_id(c):
 class TestSimulatorOracle:
     @pytest.mark.parametrize("config", ORACLE_GRID, ids=_grid_id)
     def test_shards_match_loop(self, config):
-        start, idx = 0, 0
-        while start < config.trials:
-            count = min(protocol.SHARD, config.trials - start)
-            args = (config, idx, start, count, True)
+        for args in _shard_args(config, True):
             got, want = protocol._run_shard(args), _loop_shard(args)
             # count tables equal in content and in insertion order
             assert list(got[0].items()) == list(want[0].items())
             assert list(got[1].items()) == list(want[1].items())
             assert got[2] == want[2]
             assert got[3] == want[3]
-            start, idx = start + count, idx + 1
 
     @pytest.mark.parametrize("collect", [False, True])
     @pytest.mark.parametrize("config", ORACLE_GRID, ids=_grid_id)
