@@ -18,7 +18,7 @@ from .bounds import (
     net_rate,
     rate_loss_curve,
 )
-from .errors import CacheMissError, DomainError, ResourceError
+from .errors import DomainError, ResourceError
 from .fock import (
     CodeBook,
     ModeConfig,
@@ -44,6 +44,7 @@ from .linop import (
 from .mc import (
     GammaRecord,
     MomentEstimate,
+    bunched_two_gamma,
     conjectured_c_min,
     estimate_c_q,
     estimate_gamma_q,

@@ -22,11 +22,17 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import CacheMissError, DomainError
+from .errors import DomainError, ResourceError
 from .fock import log2_dim_hilbert, log2_num_codewords
-from .mc import log2_conjectured_c_min
+from .mc import bunched_two_gamma, log2_conjectured_c_min
 
 LN2 = math.log(2.0)
+
+#: Largest rate sweep in loss-sum terms (see ``check_rate_sweep``).  The
+#: costliest accepted sweep, one eta at n_top = 1029, takes 6.4 s on a
+#: 2-vCPU host; it also keeps n below 1030, where the binomial weights of
+#: ``mutual_info_lossy`` overflow a float.
+RATE_SWEEP_TERMS = 530_000
 
 
 @dataclass(frozen=True)
@@ -270,49 +276,47 @@ class RatePoint:
     rate: float
 
 
+def check_rate_sweep(m_list: Sequence[int], n_max: Optional[int], steps: int) -> None:
+    """Refuse a rate sweep whose loss sums exceed ``RATE_SWEEP_TERMS`` terms.
+
+    Each (m, n, eta) point sums n terms, so a sweep costs about
+    ``steps * n_top^2 / 2`` per mode count, with ``n_top = min(n_max, m)``.
+    """
+    terms = 0
+    for m in m_list:
+        top = max(0, m if n_max is None else min(n_max, m))
+        terms += steps * top * (top + 1) // 2
+    if terms > RATE_SWEEP_TERMS:
+        raise ResourceError(
+            f"rate sweep needs {terms} loss terms, above the cap of {RATE_SWEEP_TERMS}; "
+            "lower --n-max, --eta-steps or the mode counts"
+        )
+
+
 def rate_loss_curve(
     m: int,
     eta_grid: Sequence[float],
-    cache_rows,
     beta: float = 1.0,
     n_max: Optional[int] = None,
 ) -> list[RatePoint]:
     """Loss-rate trade-off: maximise the net rate over n at each eta.
 
-    gamma values come from cached bunched-pattern records (the
-    conjectured maximiser); c_min is the conjectured 1/d.  n = 1 uses
-    the exact single-photon values instead of a cache entry.  Missing
-    cache records raise with the full list of required (m, n) pairs.
+    gamma is the exact 2*gamma_q of the bunched pattern (the conjectured
+    maximiser, ``mc.bunched_two_gamma``); n = 1 uses the exact
+    single-photon value 2.  c_min is the conjectured 1/d.
     """
-    from .cache import lookup_two_gamma_bunched
-
     if m < 1:
         raise DomainError(f"need m >= 1, got {m}")
     if n_max is not None and n_max < 1:
         raise DomainError(f"need n_max >= 1, got {n_max}")
     if not 0.0 <= beta <= 1.0:
         raise DomainError(f"need 0 <= beta <= 1, got {beta}")
-    if n_max is None:
-        n_max = m
-    n_max = min(n_max, m)
-    candidates = list(range(1, n_max + 1))
-    gammas: dict[int, float] = {}
-    missing: list[tuple[int, int]] = []
-    for n in candidates:
-        if n == 1:
-            gammas[n] = 2.0
-            continue
-        try:
-            gammas[n] = lookup_two_gamma_bunched(cache_rows, m, n).value
-        except CacheMissError:
-            missing.append((m, n))
-    if missing:
-        raise CacheMissError(
-            "missing bunched two_gamma cache records for (m, n) pairs: "
-            + ", ".join(str(p) for p in missing)
-        )
+    check_rate_sweep([m], n_max, len(eta_grid))
+    candidates = range(1, (m if n_max is None else min(n_max, m)) + 1)
     consumption = {
-        n: key_consumption_rate(gammas[n], m, n, log2_c_min=log2_conjectured_c_min(m, n))
+        n: key_consumption_rate(
+            2.0 if n == 1 else bunched_two_gamma(m, n), m, n, log2_c_min=log2_conjectured_c_min(m, n)
+        )
         for n in candidates
     }
     out: list[RatePoint] = []

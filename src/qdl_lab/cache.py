@@ -1,23 +1,21 @@
-"""Append-only CSV cache of Monte Carlo estimates.
+"""Append-only CSV cache of user Monte Carlo estimates.
 
 Schema: ``m,n,q,kind,value,stderr,samples,seed`` where ``q`` is the
 dash-joined pattern label (e.g. ``2-1``) and ``kind`` is one of ``c``,
-``two_gamma``, ``raw_c``.  A packaged cache ships with the library so the
-bounds and rate commands work out of the box; user caches are merged on
-top of it.
+``two_gamma``, ``raw_c``.  ``estimate`` appends to it, and ``keysize
+--gamma-source cache`` reads its ``two_gamma`` rows for the patterns
+other than the bunched one, whose value is exact.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
-from typing import Iterable, Optional, Union
+from typing import Iterable, Union
 
-from .errors import CacheMissError, DomainError
+from .errors import DomainError
 from .fock import PhotonPattern
-from .mc import GammaRecord
 
 KINDS = ("c", "two_gamma", "raw_c")
 
@@ -46,23 +44,6 @@ class CacheRow:
             str(self.samples),
             str(self.seed),
         ]
-
-
-def row_from_gamma(rec: GammaRecord) -> CacheRow:
-    return CacheRow(
-        m=rec.m,
-        n=rec.n,
-        q=rec.q,
-        kind="two_gamma",
-        value=rec.two_gamma_q,
-        stderr=rec.stderr,
-        samples=rec.samples,
-        seed=rec.seed,
-    )
-
-
-def packaged_cache_path() -> Path:
-    return Path(resources.files("qdl_lab").joinpath("data/gamma_cache.csv"))
 
 
 def read_cache(path: Union[str, Path]) -> list[CacheRow]:
@@ -113,33 +94,3 @@ def append_rows(path: Union[str, Path], rows: Iterable[CacheRow]) -> None:
             writer.writerow(HEADER)
         for row in rows:
             writer.writerow(row.as_csv_row())
-
-
-def load_merged(user_path: Optional[Union[str, Path]] = None) -> list[CacheRow]:
-    """Packaged rows first, then user rows; later rows win ties on lookup."""
-    rows = read_cache(packaged_cache_path())
-    if user_path is not None:
-        rows.extend(read_cache(user_path))
-    return rows
-
-
-def lookup(
-    rows: Iterable[CacheRow], m: int, n: int, q: PhotonPattern, kind: str
-) -> CacheRow:
-    """Best matching row: most samples, then the latest appended."""
-    best: Optional[CacheRow] = None
-    best_pos = -1
-    for pos, row in enumerate(rows):
-        if (row.m, row.n, row.q.parts, row.kind) == (m, n, q.parts, kind):
-            if best is None or (row.samples, pos) >= (best.samples, best_pos):
-                best = row
-                best_pos = pos
-    if best is None:
-        raise CacheMissError(
-            f"no cache record for m={m} n={n} q={q.label()} kind={kind}"
-        )
-    return best
-
-
-def lookup_two_gamma_bunched(rows: Iterable[CacheRow], m: int, n: int) -> CacheRow:
-    return lookup(rows, m, n, PhotonPattern((n,)), "two_gamma")

@@ -6,7 +6,7 @@ output is CSV (stdout or --out) with a version header line
 stderr.  Every command honours --seed for byte-identical output across
 runs and worker counts.
 
-Exit codes: 0 success, 2 usage error, 3 cache miss, 4 resource cap.
+Exit codes: 0 success, 2 usage error, 4 resource cap.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import __version__, bounds, cache, mc, protocol, reference
-from .errors import CacheMissError, DomainError, ResourceError
+from .errors import DomainError, ResourceError
 from .fock import (
     PhotonPattern,
     as_pattern,
@@ -74,6 +74,22 @@ def _write_csv(
 
 def _fmt(x: float) -> str:
     return repr(float(x))
+
+
+def _samples(args: argparse.Namespace, default: int) -> int:
+    samples = default if args.samples is None else args.samples
+    if samples < mc.MIN_SAMPLES:
+        raise DomainError(f"need --samples >= {mc.MIN_SAMPLES}, got {samples}")
+    return samples
+
+
+def _chart(svg: Optional[str], out: Optional[str], series, x_label: str, y_label: str) -> None:
+    """Write an SVG chart to ``svg``, or beside a file ``out`` with its stem."""
+    if svg is None and out not in (None, "-"):
+        svg = str(Path(out).with_suffix(".svg"))
+    if svg:
+        line_chart(series, svg, x_label=x_label, y_label=y_label)
+        _msg(f"wrote {svg}")
 
 
 _FLAG_WORDS = {"1": True, "true": True, "yes": True, "on": True,
@@ -133,7 +149,8 @@ def _build_parser() -> tuple[
     opt(common, "--seed", type=int, default=None, help="RNG seed (generated and printed if absent)")
     opt(common, "--workers", type=int, default=1, help="worker processes; 0 = auto")
     opt(common, "--out", default=None, help="output CSV path ('-' or absent = stdout)")
-    opt(common, "--cache", default="gamma_cache.csv", help="user cache CSV (merged over the packaged one)")
+    opt(common, "--cache", default="gamma_cache.csv",
+        help="user CSV of Monte Carlo records (estimate appends, keysize --gamma-source cache reads)")
     opt(common, "--samples", type=int, default=None, help="Monte Carlo sample count override")
     opt(common, "--accept-long", action="store_true", help="acknowledge long-running estimations")
     common.add_argument("--config", default=None, help="flat key=value config file")
@@ -162,11 +179,11 @@ def _build_parser() -> tuple[
     opt(p, "--nu", type=int, default=None, help="evaluate the nu-channel-use bound")
     opt(p, "--gamma-source", choices=["no-collision", "cache", "literal"], default="no-collision")
     opt(p, "--gamma", type=float, default=None, help="gamma value for --gamma-source literal")
-    opt(p, "--fig2", action="store_true", help="sweep n with m = n^3")
+    opt(p, "--fig2", action="store_true", help="sweep n with m = n^3 (a file --out also gets an SVG)")
     opt(p, "--s", type=float, default=0.5, help="epsilon = 2^(-n^s) exponent for --fig2")
     opt(p, "--n-max", type=int, default=40, help="largest n in the --fig2 sweep")
 
-    p = sub.add_parser("rate", parents=[common], help="rate-loss trade-off from cached gamma values")
+    p = sub.add_parser("rate", parents=[common], help="rate-loss trade-off from exact bunched gamma values")
     opt(p, "--m", dest="m_list", default="10,20,30,40", help="comma-separated mode counts")
     opt(p, "--eta-start", type=float, default=0.5)
     opt(p, "--eta-stop", type=float, default=1.0)
@@ -239,7 +256,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     if args.n > args.m:
         raise DomainError(f"need n <= m, got ({args.m}, {args.n})")
     patterns = _patterns_for(args)
-    samples = args.samples or (DEFAULT_C_SAMPLES if args.kind == "c" else DEFAULT_GAMMA_SAMPLES)
+    samples = _samples(args, DEFAULT_C_SAMPLES if args.kind == "c" else DEFAULT_GAMMA_SAMPLES)
     cache_rows = []
     for q in patterns:
         est = mc.estimate_moments(args.m, args.n, q, samples, seed, workers)
@@ -266,17 +283,17 @@ def _keysize_gamma(args: argparse.Namespace, m: int, n: int) -> tuple[float, flo
         if args.gamma is None:
             raise DomainError("--gamma-source literal requires --gamma")
         return args.gamma, log2_c_min
-    rows = cache.load_merged(args.cache)
-    records = [
+    # the bunched pattern is exact; user cache rows supply the other patterns
+    bunched = PhotonPattern((n,))
+    records = [mc.GammaRecord(m, n, bunched, mc.bunched_two_gamma(m, n), 0.0, 0, 0)] + [
         mc.GammaRecord(r.m, r.n, r.q, r.value, r.stderr, r.samples, r.seed)
-        for r in rows
-        if r.kind == "two_gamma" and r.m == m and r.n == n
+        for r in cache.read_cache(args.cache)
+        if r.kind == "two_gamma" and (r.m, r.n) == (m, n) and r.q != bunched
     ]
-    if not records:
-        raise CacheMissError(f"no two_gamma cache records for (m, n) = ({m}, {n})")
     bound = mc.gamma_bound(m, n, records)
+    source = "closed form" if bound.argmax == bunched else "cache row"
     _msg(
-        f"gamma from cache: {bound.two_gamma:.4g} at q={bound.argmax.label()} "
+        f"gamma from {source}: {bound.two_gamma:.4g} at q={bound.argmax.label()} "
         f"({'exhaustive' if bound.exhaustive else 'conjectured maximiser'})"
     )
     return bound.two_gamma, log2_c_min
@@ -285,20 +302,29 @@ def _keysize_gamma(args: argparse.Namespace, m: int, n: int) -> tuple[float, flo
 def cmd_keysize(args: argparse.Namespace) -> int:
     seed = args.seed if args.seed is not None else 0
     if args.fig2:
-        rows = []
+        if args.n_max < 2:
+            raise DomainError(f"--fig2 sweeps n from 2, so it needs --n-max >= 2, got {args.n_max}")
+        reps = []
         for n in range(2, args.n_max + 1):
             m = n**3
             eps = args.eps if args.eps is not None else 2.0 ** (-(n**args.s))
             c_min, gamma = mc.no_collision_values(m, n)
-            rep = bounds.k_epsilon_single(
+            reps.append(bounds.k_epsilon_single(
                 m, n, xi=args.xi, epsilon=eps, gamma=gamma, log2_c_min=math.log2(c_min)
-            )
-            rows.append(
-                [n, m, _fmt(eps), _fmt(rep.log2_M), _fmt(rep.log2_K_epsilon), rep.active_branch]
-            )
+            ))
+        rows = [
+            [r.n, r.m, _fmt(r.epsilon), _fmt(r.log2_M), _fmt(r.log2_K_epsilon), r.active_branch]
+            for r in reps
+        ]
         _write_csv(
             args.out, "keysize", seed, ["n", "m", "epsilon", "log2_M", "log2_K_epsilon", "branch"], rows
         )
+        ns = [r.n for r in reps]
+        series = [
+            ("log2 M", ns, [r.log2_M for r in reps]),
+            ("log2 K_eps", ns, [r.log2_K_epsilon for r in reps]),
+        ]
+        _chart(None, args.out, series, x_label="photon number n (m = n^3)", y_label="bits")
         return 0
 
     if args.m is None or args.n is None:
@@ -337,27 +363,24 @@ def cmd_rate(args: argparse.Namespace) -> int:
         m_list = [int(tok) for tok in args.m_list.split(",") if tok]
     except ValueError:
         raise DomainError(f"--m needs comma-separated integers, got {args.m_list!r}") from None
+    if not m_list:
+        raise DomainError("--m selects no mode count")
     if args.eta_steps < 2 or not (0.0 <= args.eta_start < args.eta_stop <= 1.0):
         raise DomainError("need 0 <= eta-start < eta-stop <= 1 and eta-steps >= 2")
     etas = [
         args.eta_start + i * (args.eta_stop - args.eta_start) / (args.eta_steps - 1)
         for i in range(args.eta_steps)
     ]
+    bounds.check_rate_sweep(m_list, args.n_max, len(etas))
     rows = []
     series = []
-    cache_rows = cache.load_merged(args.cache)
     for m in m_list:
-        curve = bounds.rate_loss_curve(m, etas, cache_rows, beta=args.beta, n_max=args.n_max)
+        curve = bounds.rate_loss_curve(m, etas, beta=args.beta, n_max=args.n_max)
         series.append((f"m={m}", [p.eta for p in curve], [p.rate_per_mode for p in curve]))
         for p in curve:
             rows.append([m, _fmt(p.eta), p.best_n, _fmt(p.rate_per_mode), _fmt(p.rate)])
     _write_csv(args.out, "rate", seed, ["m", "eta", "best_n", "rate_per_mode", "rate"], rows)
-    svg_path = args.svg
-    if svg_path is None and args.out not in (None, "-"):
-        svg_path = str(Path(args.out).with_suffix(".svg"))
-    if svg_path:
-        line_chart(series, svg_path, x_label="transmissivity eta", y_label="net bits per mode")
-        _msg(f"wrote {svg_path}")
+    _chart(args.svg, args.out, series, x_label="transmissivity eta", y_label="net bits per mode")
     return 0
 
 
@@ -418,7 +441,7 @@ def cmd_tables(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args)
     workers = _resolve_workers(args)
     entries = _table_entries(args.which)
-    samples = args.samples or (DEFAULT_C_SAMPLES if args.which == "I" else DEFAULT_GAMMA_SAMPLES)
+    samples = _samples(args, DEFAULT_C_SAMPLES if args.which == "I" else DEFAULT_GAMMA_SAMPLES)
 
     pilot_t = time.perf_counter()
     for m, n, q, _ in entries:
@@ -472,9 +495,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except DomainError as exc:
         _msg(f"error: {exc}")
         return 2
-    except CacheMissError as exc:
-        _msg(f"cache miss: {exc}")
-        return 3
     except ResourceError as exc:
         _msg(f"resource cap: {exc}")
         return 4

@@ -8,6 +8,3 @@ class DomainError(ValueError):
 class ResourceError(RuntimeError):
     """A computation would exceed a configured resource cap."""
 
-
-class CacheMissError(LookupError):
-    """A required cache record is absent; the message lists what is missing."""

@@ -289,3 +289,23 @@ def no_collision_values(m: int, n: int) -> tuple[float, float]:
     if n == 1:
         return 1.0 / m, 2.0
     return math.factorial(n) / float(m) ** n, 2.0 * (n + 1)
+
+
+def bunched_two_gamma(m: int, n: int) -> float:
+    """Exact 2*gamma_q of the bunched pattern q = (n), for any n <= m.
+
+    X is the product of n squared entries of one Haar column, whose squared
+    moduli are Dirichlet(1, ..., 1): E[X^2] = (n!)^2 2^n / m^(2n) (rising
+    factorial) and E[X] = 1/d, so 2*gamma = 2 d^2 (n!)^2 2^n / m^(2n).
+    Python-int true division rounds once, correctly, at the end.  The
+    value is at least 2^(n/4), so past n = 4200 no float holds it.
+    """
+    if not 1 <= n <= m:
+        raise DomainError(f"need 1 <= n <= m, got ({m}, {n})")
+    if n <= 4200:
+        top = dim_hilbert(m, n) * math.factorial(n)
+        try:
+            return 2 * top * top * 2**n / math.prod(range(m, m + 2 * n))
+        except OverflowError:
+            pass
+    raise DomainError(f"2*gamma of the bunched pattern at (m, n) = ({m}, {n}) exceeds float range")

@@ -15,7 +15,6 @@ import pytest
 
 from oracles import exact_two_gamma, fock_column
 from qdl_lab import bounds, cli, mc, protocol, reference
-from qdl_lab.cache import load_merged
 from qdl_lab.fock import (
     dim_hilbert,
     enumerate_basis,
@@ -202,17 +201,16 @@ def test_criterion_06_lossy_mutual_information():
 
 def test_criterion_07_rate_loss_curve_shape():
     t0 = time.perf_counter()
-    rows = load_merged()
     etas = list(np.linspace(0.5, 1.0, 26))
-    curve30 = bounds.rate_loss_curve(30, etas, rows)
+    curve30 = bounds.rate_loss_curve(30, etas)
     best30 = [p.best_n for p in curve30]
     top_ok = 8 <= best30[-1] <= 12
     mono_ok = all(a <= b for a, b in zip(best30, best30[1:]))
-    r10 = bounds.rate_loss_curve(10, [1.0], rows)[0].rate_per_mode
-    r40 = bounds.rate_loss_curve(40, [1.0], rows)[0].rate_per_mode
+    r10 = bounds.rate_loss_curve(10, [1.0])[0].rate_per_mode
+    r40 = bounds.rate_loss_curve(40, [1.0])[0].rate_per_mode
     density_ok = r40 > r10
     for m in (10, 20, 40):
-        b = [p.best_n for p in bounds.rate_loss_curve(m, etas, rows)]
+        b = [p.best_n for p in bounds.rate_loss_curve(m, etas)]
         mono_ok &= all(x <= y for x, y in zip(b, b[1:]))
     elapsed = time.perf_counter() - t0
     ok = top_ok and mono_ok and density_ok and elapsed <= 60.0

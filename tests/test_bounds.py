@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from oracles import lossy_mi_bruteforce
 from qdl_lab.bounds import (
     SecurityParams,
+    check_rate_sweep,
     failure_prob_bounds,
     k_epsilon_multi,
     k_epsilon_single,
@@ -16,9 +18,8 @@ from qdl_lab.bounds import (
     net_rate,
     rate_loss_curve,
 )
-from qdl_lab.cache import CacheRow, load_merged
-from qdl_lab.errors import CacheMissError, DomainError
-from qdl_lab.fock import PhotonPattern, dim_hilbert, log2_num_codewords, num_codewords
+from qdl_lab.errors import DomainError, ResourceError
+from qdl_lab.fock import dim_hilbert, log2_num_codewords, num_codewords
 from qdl_lab.mc import log2_conjectured_c_min, no_collision_values
 
 LN2 = math.log(2.0)
@@ -226,36 +227,36 @@ class TestNetRate:
         assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
 
 
-def _toy_cache(m: int, n_max: int) -> list[CacheRow]:
-    from oracles import exact_second_moment
-
-    rows = []
-    for n in range(2, n_max + 1):
-        two_gamma = float(
-            2 * exact_second_moment(m, n, (n,)) * dim_hilbert(m, n) ** 2
-        )
-        rows.append(CacheRow(m, n, PhotonPattern((n,)), "two_gamma", two_gamma, 0.0, 10**6, 0))
-    return rows
-
-
 class TestRateLossCurve:
-    def test_missing_cache_lists_pairs(self):
-        with pytest.raises(CacheMissError) as err:
-            rate_loss_curve(10, [0.9, 1.0], [])
-        assert "(10, 2)" in str(err.value) and "(10, 10)" in str(err.value)
-
     def test_shape_with_exact_gammas(self):
-        rows = _toy_cache(10, 10)
-        curve = rate_loss_curve(10, [0.6, 0.8, 1.0], rows)
+        curve = rate_loss_curve(10, [0.6, 0.8, 1.0])
         assert [p.eta for p in curve] == [0.6, 0.8, 1.0]
         best = {p.eta: p.best_n for p in curve}
         assert best[1.0] >= best[0.6]
         assert all(p.rate == pytest.approx(p.rate_per_mode * 10) for p in curve)
 
-    def test_shipped_cache_has_rate_inputs(self):
-        rows = load_merged()
-        curve = rate_loss_curve(30, [1.0], rows)
-        assert 8 <= curve[0].best_n <= 12
+    def test_rate_uses_exact_bunched_gamma(self):
+        from oracles import exact_two_gamma
+
+        # at eta = 1 the net rate of the winning n is log2 C minus its consumption
+        (point,) = rate_loss_curve(30, [1.0])
+        n = point.best_n
+        gamma = exact_two_gamma(30, n, (n,))
+        k = key_consumption_rate(gamma, 30, n, log2_c_min=log2_conjectured_c_min(30, n))
+        assert point.rate == log2_num_codewords(30, n) - k
+
+    def test_sweep_cap(self):
+        # n = 1029 at one eta is the largest sweep admitted, and the last n
+        # whose loss sum stays in float range
+        check_rate_sweep([1029], None, 1)
+        assert math.isfinite(mutual_info_lossy(2000, 1029, 0.5))
+        for m_list, n_max, steps in [([1030], None, 1), ([2000], None, 2), ([10, 10**6], 300, 26)]:
+            with pytest.raises(ResourceError):
+                check_rate_sweep(m_list, n_max, steps)
+        start = time.perf_counter()
+        with pytest.raises(ResourceError):
+            rate_loss_curve(10**6, [0.9, 1.0])
+        assert time.perf_counter() - start < 1.0
 
 
 class TestFailureProbs:

@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from oracles import exact_two_gamma
 from qdl_lab import cli
 
 
@@ -55,6 +56,17 @@ class TestEstimate:
             )
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_bad_samples_usage_error(self, tmp_path, capsys, samples):
+        code, _, err = run_cli(
+            ["estimate", "c", "4", "2", "--pattern", "2", "--samples", samples, "--seed", "1",
+             "--cache", str(tmp_path / "c.csv")],
+            capsys,
+        )
+        assert code == 2
+        assert f"need --samples >= 1000, got {samples}" in err
+        assert not (tmp_path / "c.csv").exists()
+
     def test_invalid_pattern_lists_valid_ones(self, tmp_path, capsys):
         code, _, err = run_cli(
             ["estimate", "gamma", "6", "2", "--pattern", "3-1", "--samples", "2000",
@@ -97,6 +109,15 @@ class TestKeysize:
         lines = out_path.read_text().splitlines()
         assert lines[1] == "n,m,epsilon,log2_M,log2_K_epsilon,branch"
         assert len(lines) == 2 + 11  # n = 2..12
+        svg = (tmp_path / "fig2.svg").read_text()
+        assert svg.count("<polyline") == 2 and "log2 K_eps" in svg
+
+    def test_fig2_selecting_no_n_usage_error(self, tmp_path, capsys):
+        out_path = tmp_path / "fig2.csv"
+        code, _, err = run_cli(["keysize", "--fig2", "--n-max", "1", "--out", str(out_path)], capsys)
+        assert code == 2
+        assert "--n-max >= 2" in err
+        assert not out_path.exists()
 
     def test_literal_gamma(self, capsys):
         code, out, _ = run_cli(
@@ -116,13 +137,33 @@ class TestKeysize:
         log2_k = float(out.splitlines()[1].split("=")[1])
         assert log2_k > 1000  # scales with the number of channel uses
 
-    def test_cache_miss_exit_code(self, tmp_path, capsys):
+    def test_cache_source_without_cache_file_is_exact(self, tmp_path, capsys):
+        out_path = tmp_path / "k.csv"
         code, _, err = run_cli(
-            ["keysize", "7", "2", "--xi", "1", "--eps", "0.1",
-             "--gamma-source", "cache", "--cache", str(tmp_path / "none.csv")],
+            ["keysize", "7", "2", "--xi", "1", "--eps", "0.1", "--gamma-source", "cache",
+             "--cache", str(tmp_path / "none.csv"), "--out", str(out_path)],
             capsys,
         )
-        assert code == 3
+        assert code == 0
+        gamma = out_path.read_text().splitlines()[2].split(",")[5]
+        assert float(gamma) == exact_two_gamma(7, 2, (2,))
+        assert "gamma from closed form" in err
+
+    @pytest.mark.parametrize(
+        "row,winner,source",
+        [("6,2,1-1,two_gamma,5.0,0.1,1000,1", "5 at q=1-1", "cache row"),
+         ("6,2,2,two_gamma,99.0,0.1,1000,1", "4.667 at q=2", "closed form")],
+        ids=["other-pattern-wins", "bunched-row-ignored"],
+    )
+    def test_cache_rows_beside_closed_form(self, tmp_path, capsys, row, winner, source):
+        user = tmp_path / "user.csv"
+        user.write_text("m,n,q,kind,value,stderr,samples,seed\n" + row + "\n")
+        code, _, err = run_cli(
+            ["keysize", "6", "2", "--eps", "0.1", "--gamma-source", "cache", "--cache", str(user)],
+            capsys,
+        )
+        assert code == 0
+        assert f"gamma from {source}: {winner} " in err
 
     @pytest.mark.parametrize(
         "row,message",
@@ -145,7 +186,7 @@ class TestKeysize:
 
 
 class TestRate:
-    def test_rate_from_shipped_cache(self, tmp_path, capsys):
+    def test_rate_csv_and_svg(self, tmp_path, capsys):
         out_path = tmp_path / "rate.csv"
         code, _, _ = run_cli(
             ["rate", "--m", "10,20", "--eta-start", "0.8", "--eta-stop", "1.0",
@@ -176,13 +217,14 @@ class TestRate:
         "flags,message",
         [
             (["--m", "10,abc"], "--m needs comma-separated integers"),
+            (["--m", ""], "--m selects no mode count"),
             (["--m", "0"], "need m >= 1"),
             (["--m", "-4"], "need m >= 1"),
             (["--m", "10", "--n-max", "0"], "need n_max >= 1"),
             (["--m", "10", "--n-max", "-3"], "need n_max >= 1"),
             (["--m", "10", "--beta", "2"], "need 0 <= beta <= 1"),
         ],
-        ids=["not-an-int", "zero-modes", "negative-modes", "zero-n-max", "negative-n-max", "beta-above-1"],
+        ids=["not-an-int", "no-modes", "zero-modes", "negative-modes", "zero-n-max", "negative-n-max", "beta-above-1"],
     )
     def test_bad_input_usage_error(self, tmp_path, capsys, flags, message):
         out_path = tmp_path / "rate.csv"
@@ -190,6 +232,21 @@ class TestRate:
         assert code == 2
         assert message in err
         assert not out_path.exists()
+
+
+    def test_any_mode_count(self, capsys):
+        code, out, _ = run_cli(["rate", "--m", "50"], capsys)
+        assert code == 0
+        assert len(out.splitlines()) == 2 + 26
+
+    def test_sweep_cap_exit_code(self, tmp_path, capsys):
+        out_path = tmp_path / "rate.csv"
+        start = time.perf_counter()
+        code, _, err = run_cli(["rate", "--m", "10,20,2000", "--out", str(out_path)], capsys)
+        assert code == 4
+        assert "loss terms" in err
+        assert not out_path.exists()
+        assert time.perf_counter() - start < 1.0
 
 
 class TestSimulate:
@@ -253,6 +310,17 @@ class TestTables:
         assert code == 0
         lines = out_path.read_text().splitlines()
         assert lines[1] == "m,n,q,c,stderr_c,raw_c,stderr_raw,published"
+
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_bad_samples_refused_before_pilot(self, capsys, monkeypatch, samples):
+        def no_pilot(*args, **kwargs):
+            raise AssertionError("pilot ran")
+
+        monkeypatch.setattr(cli.mc, "estimate_moments", no_pilot)
+        code, out, err = run_cli(["tables", "II", "--samples", samples, "--seed", "1"], capsys)
+        assert code == 2
+        assert f"need --samples >= 1000, got {samples}" in err
+        assert out == ""
 
     def test_long_run_guard(self, capsys, monkeypatch):
         # with no time allowed, any table is a long run and needs the flag

@@ -10,6 +10,7 @@ from qdl_lab.errors import DomainError
 from qdl_lab.fock import PhotonPattern, dim_hilbert, enumerate_patterns
 from qdl_lab.mc import (
     GammaRecord,
+    bunched_two_gamma,
     conjectured_c_min,
     estimate_c_q,
     estimate_gamma_q,
@@ -196,6 +197,16 @@ class TestClosedForms:
         assert c == pytest.approx(1 / 17)
         assert g == 2.0
 
+    def test_bunched_two_gamma_equals_oracle(self):
+        for m in range(2, 41):
+            for n in range(2, m + 1):
+                assert bunched_two_gamma(m, n) == exact_two_gamma(m, n, (n,)), (m, n)
+
+    def test_bunched_two_gamma_domain(self):
+        for m, n in [(3, 4), (5, 0), (5000, 4300)]:
+            with pytest.raises(DomainError):
+                bunched_two_gamma(m, n)
+
     def test_exact_oracle_selfconsistency(self):
         # the bunched Dirichlet route and the two-component route agree
         for m, n in [(6, 2), (10, 2), (9, 3), (12, 3)]:
@@ -220,27 +231,3 @@ class TestCacheIO:
         cache.append_rows(path, [cache.CacheRow(10, 3, PhotonPattern((2, 1)), "two_gamma", 5.8, 0.1, 1000, 1)])
         text = path.read_text()
         assert "10,3,2-1,two_gamma" in text
-
-    def test_lookup_prefers_more_samples(self, tmp_path):
-        path = tmp_path / "cache.csv"
-        q = PhotonPattern((2,))
-        cache.append_rows(
-            path,
-            [
-                cache.CacheRow(6, 2, q, "two_gamma", 4.0, 0.1, 1000, 1),
-                cache.CacheRow(6, 2, q, "two_gamma", 4.6, 0.01, 100_000, 2),
-            ],
-        )
-        rows = cache.read_cache(path)
-        assert cache.lookup(rows, 6, 2, q, "two_gamma").value == pytest.approx(4.6)
-
-    def test_lookup_miss(self):
-        from qdl_lab.errors import CacheMissError
-
-        with pytest.raises(CacheMissError):
-            cache.lookup([], 6, 2, PhotonPattern((2,)), "two_gamma")
-
-    def test_packaged_cache_present(self):
-        rows = cache.load_merged()
-        bunched = [r for r in rows if r.kind == "two_gamma" and r.q.parts == (r.n,)]
-        assert len(bunched) > 50  # the shipped grid for the rate curves
