@@ -59,9 +59,6 @@ from .protocol import (
     TrialSummary,
     decode_with_key,
     empirical_mutual_info,
-    encode,
-    eavesdrop_photodetect,
     gen_unitary_pool,
-    lossy_channel,
     run_trials,
 )

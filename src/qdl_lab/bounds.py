@@ -28,10 +28,13 @@ from .mc import bunched_two_gamma, log2_conjectured_c_min
 
 LN2 = math.log(2.0)
 
-#: Largest rate sweep in loss-sum terms (see ``check_rate_sweep``).  The
-#: costliest accepted sweep, one eta at n_top = 1029, takes 6.4 s on a
-#: 2-vCPU host; it also keeps n below 1030, where the binomial weights of
-#: ``mutual_info_lossy`` overflow a float.
+#: Largest n at which the binomial weights C(n, k) of ``mutual_info_lossy``
+#: fit a float; at 0 < eta < 1 a larger n raises DomainError.
+LOSSY_N_MAX = 1029
+
+#: Largest rate sweep in loss-sum terms (see ``check_rate_sweep``).  It keeps
+#: n_top <= LOSSY_N_MAX; the costliest accepted sweep, one eta at n_top =
+#: 1029, takes 6.4 s on a 2-vCPU host.
 RATE_SWEEP_TERMS = 530_000
 
 
@@ -244,10 +247,13 @@ def mutual_info_lossy(m: int, n: int, eta: float) -> float:
         return l2C
     if eta == 0.0:
         return 0.0
-    acc = 0.0
-    for k in range(n):  # the k = n term is log2 C(m-n, 0) = 0
+    if n > LOSSY_N_MAX:
+        raise DomainError(f"need n <= {LOSSY_N_MAX} at 0 < eta < 1, got n = {n}")
+    acc, c = 0.0, 1
+    for k in range(n - 1, -1, -1):  # the k = n term is log2 C(m-n, 0) = 0
+        c = c * (m - k) // (n - k)  # exact C(m-k, n-k) = C(m-k-1, n-k-1) (m-k) / (n-k)
         pmf = math.comb(n, k) * eta**k * (1.0 - eta) ** (n - k)
-        acc += pmf * log2_num_codewords(m - k, n - k)
+        acc += pmf * math.log2(c)
     return l2C - acc
 
 

@@ -17,9 +17,9 @@ from typing import Union
 import numpy as np
 
 from .errors import DomainError
-from .fock import BASIS_CAP, ModeConfig, basis_tables
+from .fock import ModeConfig, basis_tables
 
-#: Default cap on the size of matrices fed to the exact permanent.
+#: Largest matrix size ``permanent`` accepts.
 PERMANENT_CAP = 25
 
 UNITARITY_TOL = 1e-12
@@ -98,19 +98,20 @@ def stiefel_batch(rng: np.random.Generator, count: int, m: int, ncols: int) -> n
     return g
 
 
-def permanent(a: np.ndarray, cap: int = PERMANENT_CAP) -> Amplitude:
+def permanent(a: np.ndarray) -> Amplitude:
     """Exact permanent of a square complex matrix via Glynn's formula.
 
     Sign vectors are walked in Gray-code order so each step updates the
     column sums with a single row; compensated accumulation is switched
-    on for k >= 16 where the alternating sum starts losing digits.
+    on for k >= 16 where the alternating sum starts losing digits.  A
+    matrix larger than ``PERMANENT_CAP`` raises DomainError.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DomainError(f"permanent needs a square matrix, got shape {a.shape}")
     k = a.shape[0]
-    if k > cap:
-        raise DomainError(f"matrix size {k} exceeds permanent cap {cap}")
+    if k > PERMANENT_CAP:
+        raise DomainError(f"matrix size {k} exceeds permanent cap {PERMANENT_CAP}")
     if k == 0:
         return 1.0 + 0.0j
     return complex(_permanent_batch(a[None, :, :])[0])
@@ -188,13 +189,10 @@ def transition_amplitude(
     return complex(permanent(sub) / math.sqrt(norm))
 
 
-def output_distribution(
-    u: UnitaryMatrix, config_in: ModeConfig, cap: int = BASIS_CAP
-) -> np.ndarray:
+def output_distribution(u: UnitaryMatrix, config_in: ModeConfig) -> np.ndarray:
     """Photodetection probabilities over the canonical basis for U|in>.
 
-    One row of ``output_distributions``; a basis larger than ``cap``
-    raises ResourceError.
+    One row of ``output_distributions``, under the same ``fock.BASIS_CAP``.
     """
     if config_in.m != u.m:
         raise DomainError("config does not match the unitary's mode count")
@@ -202,7 +200,7 @@ def output_distribution(
         return np.ones(1)
     in_norm = float(math.prod(math.factorial(v) for v in config_in.occupations))
     rows = np.array([config_in.modes])
-    return output_distributions(u.entries[None], np.zeros(1, dtype=np.intp), rows, in_norm, cap)[0]
+    return output_distributions(u.entries[None], np.zeros(1, dtype=np.intp), rows, in_norm)[0]
 
 
 def output_distributions(
@@ -210,7 +208,6 @@ def output_distributions(
     keys: np.ndarray,
     rows: np.ndarray,
     in_norm: float = 1.0,
-    cap: int = BASIS_CAP,
 ) -> np.ndarray:
     """Photodetection distributions of p input states, shape (p, d).
 
@@ -219,10 +216,11 @@ def output_distributions(
     hold the same n photons and occupation norm ``in_norm``.  Permanent
     submatrices are gathered over the cached basis tables, in blocks of
     outputs whose input to _permanent_batch is at most ``BLOCK_BYTES``
-    while ``p * 16 * n**2`` is.
+    while ``p * 16 * n**2`` is.  A basis over ``fock.BASIS_CAP`` raises
+    ResourceError from ``fock.basis_tables``.
     """
     p, n = rows.shape
-    cols, out_norms = basis_tables(units.shape[1], n, cap)
+    cols, out_norms = basis_tables(units.shape[1], n)
     picked = units[keys[:, None], rows].transpose(1, 2, 0)  # (row, mode, pair)
     step = max(1, BLOCK_BYTES // (16 * n * n * p))
     perms = np.empty((p, len(out_norms)), dtype=complex)

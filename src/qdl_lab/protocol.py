@@ -1,6 +1,6 @@
 """End-to-end simulation of the locking protocol: key selection,
 encoding, scrambling, optional loss, keyed decoding, and empirical
-mutual-information diagnostics.
+mutual-information diagnostics, as one batched pass per shard of trials.
 
 Loss is applied in the codeword basis: uniform single-photon loss
 commutes with any passive interferometer, and the keyed receiver applies
@@ -12,22 +12,22 @@ photon number.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import DomainError, ResourceError
-from .fock import CodeBook, ModeConfig, dim_hilbert, sample_codebook, unrank
-from .linop import BLOCK_BYTES, UnitaryMatrix, haar_batch, output_distribution, output_distributions
+from .fock import CodeBook, ModeConfig, dim_hilbert, sample_codebook
+from .linop import BLOCK_BYTES, UnitaryMatrix, haar_batch, output_distributions
 from .mc import fan_out
 
 SHARD = 4096
 
 #: Cap on trials * d.  The blind diagnostic draws one of d outcomes per
 #: trial, from the d-point distributions of up to one (k, x) pair per trial,
-#: so trials * d bounds its permanents.  The codebook has its own cap
-#: (fock.CODEBOOK_CAP); both raise ResourceError, exit code 4 in the CLI.
+#: so trials * d bounds its permanents.  The codebook and basis have their own
+#: caps (fock.CODEBOOK_CAP, fock.BASIS_CAP); all raise ResourceError, exit 4.
 DEFAULT_BUDGET = 50_000_000
 
 LN2 = math.log(2.0)
@@ -73,22 +73,6 @@ class DecodeResult:
     ambiguity: tuple[int, ...]
 
 
-@dataclass
-class StateHandle:
-    """Scrambled codeword (k, x) with a lazily computed output distribution."""
-
-    x: int
-    k: int
-    codeword: ModeConfig
-    unitary: UnitaryMatrix
-    _dist: Optional[np.ndarray] = field(default=None, repr=False)
-
-    def distribution(self) -> np.ndarray:
-        if self._dist is None:
-            self._dist = output_distribution(self.unitary, self.codeword)
-        return self._dist
-
-
 @dataclass(frozen=True)
 class TrialSummary:
     m: int
@@ -114,30 +98,6 @@ def gen_unitary_pool(
     if K < 1:
         raise DomainError(f"need K >= 1, got {K}")
     return tuple(UnitaryMatrix(u) for u in haar_batch(np.random.default_rng(seed), K, m))
-
-
-def encode(x: int, k: int, codebook: CodeBook, pool: Sequence[UnitaryMatrix]) -> StateHandle:
-    """Alice's side: codeword x scrambled by pool member k."""
-    if not 0 <= x < len(codebook):
-        raise DomainError(f"message index {x} out of range [0, {len(codebook)})")
-    if not 0 <= k < len(pool):
-        raise DomainError(f"key index {k} out of range [0, {len(pool)})")
-    return StateHandle(x=x, k=k, codeword=codebook[x], unitary=pool[k])
-
-
-def lossy_channel(
-    codeword: ModeConfig, eta: float, rng: np.random.Generator
-) -> ModeConfig:
-    """Each photon of a single-occupancy codeword survives w.p. eta."""
-    if not codeword.is_single_occupancy():
-        raise DomainError("lossy_channel expects a single-occupancy codeword")
-    if not 0.0 <= eta <= 1.0:
-        raise DomainError(f"need 0 <= eta <= 1, got {eta}")
-    occ = list(codeword.occupations)
-    for i, v in enumerate(occ):
-        if v and rng.random() >= eta:
-            occ[i] = 0
-    return ModeConfig(tuple(occ))
 
 
 def decode_with_key(
@@ -173,33 +133,14 @@ def _compatible(codewords: np.ndarray, detected: np.ndarray) -> np.ndarray:
     return (detected[:, None, :] <= codewords[None, :, :]).all(axis=2)
 
 
-def eavesdrop_photodetect(handle: StateHandle, rng: np.random.Generator) -> ModeConfig:
-    """Key-blind photodetection of the scrambled state.
+def empirical_mutual_info(counts: Mapping) -> float:
+    """Plug-in estimate of I(X;Y) in bits from a joint count table.
 
-    A diagnostic lower bound on the accessible information: one sampled
-    computational-basis outcome, with no claim of measurement optimality.
+    ``counts`` maps each (x, y) pair to its count.
     """
-    dist = handle.distribution()
-    u = rng.random()
-    idx = int(np.searchsorted(np.cumsum(dist), u))
-    idx = min(idx, len(dist) - 1)
-    return unrank(handle.codeword.m, handle.codeword.n, idx)
-
-
-def empirical_mutual_info(counts: Union[Mapping, np.ndarray]) -> float:
-    """Plug-in estimate of I(X;Y) in bits from a joint count table."""
-    if isinstance(counts, np.ndarray):
-        items = [
-            ((i, j), float(c))
-            for (i, j), c in np.ndenumerate(counts)
-            if c
-        ]
-        if np.any(counts < 0):
-            raise DomainError("counts must be non-negative")
-    else:
-        items = [(key, float(c)) for key, c in counts.items() if c]
-        if any(c < 0 for _, c in items):
-            raise DomainError("counts must be non-negative")
+    items = [(key, float(c)) for key, c in counts.items() if c]
+    if any(c < 0 for _, c in items):
+        raise DomainError("counts must be non-negative")
     total = sum(c for _, c in items)
     if total <= 0:
         raise DomainError("count table is empty")
@@ -267,11 +208,12 @@ def _photodetect(
 ) -> np.ndarray:
     """Key-blind photodetection outcome index of every trial.
 
-    Each distinct (k, x) pair's distribution is computed once, for blocks
-    of pairs whose permanent input fits ``BLOCK_BYTES``.  Its trials draw
-    by inverse CDF on their ``u``: ``(cum < u).sum()`` is
-    ``searchsorted(cum, u, side="left")``, clipped to d - 1 as rounding
-    may leave the last cumulative value below u.
+    A diagnostic lower bound on the accessible information, with no claim
+    of measurement optimality.  Each distinct (k, x) pair's distribution
+    is computed once, for blocks of pairs whose permanent input fits
+    ``BLOCK_BYTES``.  Its trials draw by inverse CDF on their ``u``:
+    ``(cum < u).sum()`` is ``searchsorted(cum, u, side="left")``, clipped
+    to d - 1 as rounding may leave the last cumulative value below u.
     """
     M, n = modes.shape
     d = dim_hilbert(units.shape[1], n)
@@ -304,7 +246,6 @@ def run_trials(
     config: ProtocolConfig,
     workers: int = 1,
     collect_records: bool = False,
-    budget: int = DEFAULT_BUDGET,
 ) -> TrialSummary:
     """Simulate the protocol and report empirical diagnostics.
 
@@ -318,14 +259,15 @@ def run_trials(
     plug-in mutual-information estimates for the keyed receiver and for
     a key-blind photodetector, with their standard bias bounds.
 
-    trials * d above ``budget`` and a codebook above ``fock.CODEBOOK_CAP``
-    raise ResourceError, in that order, before any trial runs.
+    trials * d above ``DEFAULT_BUDGET`` and a codebook above
+    ``fock.CODEBOOK_CAP`` raise ResourceError, in that order, before any
+    sampling; a basis above ``fock.BASIS_CAP`` raises it in the first
+    shard, before any trial runs.
     """
     d = dim_hilbert(config.m, config.n)
-    if config.trials * d > budget:
+    if config.trials * d > DEFAULT_BUDGET:
         raise ResourceError(
-            f"trials*d = {config.trials * d} exceeds budget {budget}; "
-            "reduce trials or raise the budget"
+            f"trials*d = {config.trials * d} exceeds budget {DEFAULT_BUDGET}; reduce trials"
         )
     codebook = sample_codebook(config.m, config.n, config.xi, np.random.default_rng([config.seed, 2]))
     pool = gen_unitary_pool(config.m, config.K, np.random.default_rng([config.seed, 1]))

@@ -209,6 +209,9 @@ class TestLossyMutualInfo:
             mutual_info_lossy(4, 2, 1.2)
         with pytest.raises(DomainError):
             mutual_info_lossy(2, 4, 0.5)
+        # binomial weights C(1030, k) overflow a float
+        with pytest.raises(DomainError, match="n <= 1029"):
+            mutual_info_lossy(2000, 1030, 0.5)
 
 
 class TestNetRate:

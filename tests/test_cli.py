@@ -1,4 +1,5 @@
 import hashlib
+import math
 import subprocess
 import sys
 import time
@@ -21,6 +22,14 @@ class TestDim:
         assert code == 0
         assert "# qdl-lab v" in out and "cmd=dim" in out
         assert "4,3,20," in out
+
+    def test_exact_logs_at_huge_m(self, capsys):
+        m = 10**18
+        code, out, _ = run_cli(["dim", str(m), "2"], capsys)
+        assert code == 0
+        row = out.splitlines()[2].split(",")
+        assert float(row[3]) == math.log2(math.comb(m + 1, 2))  # log2_d
+        assert float(row[5]) == math.log2(math.comb(m, 2))  # log2_C
 
 
 class TestEstimate:
@@ -87,6 +96,12 @@ class TestKeysize:
         assert code == 0
         assert "log2_M          = 191.560" in out
         assert "log2_K_epsilon  = 127.115" in out
+
+    def test_exact_log2_M_at_huge_m(self, capsys):
+        code, out, _ = run_cli(["keysize", "1000000000000000000", "2", "--eps", "0.1"], capsys)
+        assert code == 0
+        assert f"log2_M          = {math.log2(math.comb(10**18, 2)):.3f}" in out
+        assert "log2_M          = 118.589" in out
 
     def test_epsilon_monotonicity_surface(self, capsys):
         _, out_tight, _ = run_cli(
@@ -278,6 +293,17 @@ class TestSimulate:
         )
         assert code == 4
 
+    def test_basis_cap_exit_code(self, capsys):
+        # trials*d = 3.2e7 passes the budget and 74 codewords pass the codebook
+        # cap; the d = 7.9 M basis is refused before it is built
+        start = time.perf_counter()
+        code, _, err = run_cli(
+            ["simulate", "24", "8", "--xi", "0.0001", "--trials", "4", "--seed", "1"], capsys
+        )
+        assert code == 4
+        assert "exceeds cap" in err
+        assert time.perf_counter() - start < 1.0
+
     def test_codebook_cap_exit_code(self, capsys):
         # d = 7.6 M passes the trials*d budget; C(60, 5) = 5.46 M codewords
         # do not pass the codebook cap, which is checked before any sampling
@@ -372,7 +398,7 @@ class TestGolden:
         assert code == 0
         header, body = transcript.read_text().split("\n", 1)  # the header names the version
         assert header == "# qdl-lab v" + cli.__version__ + " cmd=simulate-transcript seed=22"
-        assert hashlib.sha256(body.encode()).hexdigest() == (
+        assert hashlib.sha256(bytes(body, "utf-8")).hexdigest() == (
             "b6ab354b1b86505270dd3056309d977654dfdf3be52cf191c193fcd0f7c81c8b"
         )
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from qdl_lab import fock
 from qdl_lab.errors import DomainError, ResourceError
 from qdl_lab.fock import (
     CodeBook,
@@ -79,23 +80,26 @@ class TestEnumeration:
     def test_basis_length_6_2(self):
         assert len(enumerate_basis(6, 2)) == dim_hilbert(6, 2) == 21
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
+        monkeypatch.setattr(fock, "BASIS_CAP", 1000)
         with pytest.raises(ResourceError):
-            enumerate_basis(40, 20, cap=1000)
+            enumerate_basis(40, 20)
 
     def test_descending_lex_order(self):
         basis = [c.occupations for c in enumerate_basis(5, 3)]
         assert basis == sorted(basis, reverse=True)
 
     @pytest.mark.parametrize("m,n", [(1, 3), (4, 1), (5, 3), (3, 6)])
-    def test_basis_tables(self, m, n):
+    def test_basis_tables(self, m, n, monkeypatch):
         cols, norms = basis_tables(m, n)
         basis = enumerate_basis(m, n)
         assert cols.tolist() == [list(cfg.modes) for cfg in basis]
         assert norms.tolist() == [math.prod(map(math.factorial, cfg)) for cfg in basis]
         assert not cols.flags.writeable and not norms.flags.writeable
+        # the cached (m, n) entry does not pass a lowered cap
+        monkeypatch.setattr(fock, "BASIS_CAP", len(basis) * (m + n) - 1)
         with pytest.raises(ResourceError):
-            basis_tables(m, n, cap=len(basis) - 1)
+            basis_tables(m, n)
 
 
 class TestRankUnrank:

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import fock_column
-from qdl_lab import linop
+from qdl_lab import fock, linop
 from qdl_lab.errors import DomainError, ResourceError
 from qdl_lab.fock import ModeConfig, enumerate_basis, rank
 from qdl_lab.linop import (
@@ -96,7 +96,7 @@ class TestPermanent:
         with pytest.raises(DomainError):
             permanent(np.ones((2, 3)))
         with pytest.raises(DomainError):
-            permanent(np.eye(4), cap=3)
+            permanent(np.eye(linop.PERMANENT_CAP + 1))  # raises before any work
 
     @given(st.integers(2, 5), st.randoms(use_true_random=False))
     def test_row_swap_invariance(self, k, rnd):
@@ -266,9 +266,10 @@ class TestOutputDistribution:
             cfg = ModeConfig(tuple(np.bincount(rows[i], minlength=m)))
             assert np.array_equal(output_distribution(u, cfg), whole[i])
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
+        monkeypatch.setattr(fock, "BASIS_CAP", 50)
         with pytest.raises(ResourceError):
-            output_distribution(haar_unitary(6, 1), ModeConfig((1, 1, 1, 0, 0, 0)), cap=50)
+            output_distribution(haar_unitary(6, 1), ModeConfig((1, 1, 1, 0, 0, 0)))
 
     def test_dagger_inverts_at_2_1(self):
         u = haar_unitary(2, 5)

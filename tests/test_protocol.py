@@ -9,17 +9,14 @@ from hypothesis import strategies as st
 from qdl_lab import protocol
 from qdl_lab.bounds import mutual_info_lossy
 from qdl_lab.errors import DomainError, ResourceError
-from qdl_lab.fock import CodeBook, ModeConfig, num_codewords, sample_codebook
+from qdl_lab.fock import CodeBook, ModeConfig, dim_hilbert, num_codewords, rank, sample_codebook
 from qdl_lab.linop import UnitaryMatrix, output_distribution
 from qdl_lab.protocol import (
     ProtocolConfig,
     TrialRecord,
     decode_with_key,
-    eavesdrop_photodetect,
     empirical_mutual_info,
-    encode,
     gen_unitary_pool,
-    lossy_channel,
     run_trials,
 )
 
@@ -46,69 +43,28 @@ class TestPool:
             assert dev <= 1e-12
 
 
-class TestEncode:
-    def test_identity_pool_point_mass(self):
-        from qdl_lab.fock import rank
-        from qdl_lab.linop import UnitaryMatrix
-
-        cb = sample_codebook(4, 2, 1.0, rng=0)
-        pool = (UnitaryMatrix(np.eye(4)),)
-        handle = encode(2, 0, cb, pool)
-        dist = handle.distribution()
-        assert dist[rank(cb[2])] == pytest.approx(1.0)
-
-    def test_distribution_normalised(self):
-        cb = sample_codebook(4, 2, 1.0, rng=0)
-        pool = gen_unitary_pool(4, 4, seed=11)
-        for k in range(4):
-            assert encode(0, k, cb, pool).distribution().sum() == pytest.approx(1.0, abs=1e-9)
-
-    def test_matches_symbolic_oracle(self):
-        from oracles import fock_column
-
-        cb = sample_codebook(4, 2, 1.0, rng=0)
-        pool = gen_unitary_pool(4, 2, seed=12)
-        handle = encode(1, 1, cb, pool)
-        expected = np.abs(fock_column(pool[1].entries, cb[1])) ** 2
-        assert np.abs(handle.distribution() - expected).max() < 1e-9
-
-    def test_bad_indices(self):
-        cb = sample_codebook(4, 2, 1.0, rng=0)
-        pool = gen_unitary_pool(4, 2, seed=0)
-        with pytest.raises(DomainError):
-            encode(6, 0, cb, pool)
-        with pytest.raises(DomainError):
-            encode(0, 2, cb, pool)
-
-
 class TestLossyChannel:
+    """Per-photon loss inside run_trials, seen through its transcript."""
+
     def test_eta_one_identity(self):
-        rng = np.random.default_rng(0)
-        cw = ModeConfig((1, 0, 1, 0))
-        for _ in range(50):
-            assert lossy_channel(cw, 1.0, rng) == cw
+        cfg = ProtocolConfig(m=4, n=2, K=1, eta=1.0, trials=50, seed=0)
+        for r in run_trials(cfg, collect_records=True).records:
+            # all n clicks decode uniquely to x only if they are codeword x
+            assert r.clicks == 2 and r.decoded == r.x
 
     def test_eta_zero_empty(self):
-        rng = np.random.default_rng(0)
-        cw = ModeConfig((1, 1, 0, 0))
-        for _ in range(50):
-            assert lossy_channel(cw, 0.0, rng).n == 0
+        cfg = ProtocolConfig(m=4, n=2, K=1, eta=0.0, trials=50, seed=0)
+        s = run_trials(cfg, collect_records=True)
+        assert all(r.clicks == 0 and r.ambiguity == s.M for r in s.records)
 
     def test_click_histogram_binomial(self):
-        rng = np.random.default_rng(5)
-        cw = ModeConfig((1, 1, 0, 0))
         trials = 100_000
-        counts = np.zeros(3)
-        for _ in range(trials):
-            counts[lossy_channel(cw, 0.5, rng).n] += 1
+        cfg = ProtocolConfig(m=4, n=2, K=1, eta=0.5, trials=trials, seed=5)
+        counts = np.bincount([r.clicks for r in run_trials(cfg, collect_records=True).records])
         for k in range(3):
             p = math.comb(2, k) * 0.5**2
             se = math.sqrt(trials * p * (1 - p))
             assert abs(counts[k] - trials * p) < 3 * se
-
-    def test_rejects_bunched_input(self):
-        with pytest.raises(DomainError):
-            lossy_channel(ModeConfig((2, 0)), 0.5, np.random.default_rng(0))
 
 
 class TestDecode:
@@ -140,40 +96,41 @@ class TestDecode:
             decode_with_key(5, pool, cb[0], cb)
 
 
-class TestEavesdrop:
-    def test_identity_pool_reveals_message(self):
-        from qdl_lab.linop import UnitaryMatrix
+def _modes(codebook):
+    """(M, n) occupied modes of each codeword, as run_trials passes them."""
+    return np.array([cw.modes for cw in codebook.codewords])
 
+
+class TestEavesdrop:
+    """Key-blind photodetection of the scrambled codewords (protocol._photodetect)."""
+
+    def test_identity_pool_reveals_message(self):
         cb = sample_codebook(4, 2, 1.0, rng=0)
-        pool = (UnitaryMatrix(np.eye(4)),)
-        rng = np.random.default_rng(0)
-        for x in range(len(cb)):
-            out = eavesdrop_photodetect(encode(x, 0, cb, pool), rng)
-            assert out == cb[x]
+        xs = np.arange(len(cb))
+        u = np.random.default_rng(0).random(len(cb))
+        z = protocol._photodetect(np.eye(4)[None], _modes(cb), xs, np.zeros_like(xs), u)
+        assert z.tolist() == [rank(cw) for cw in cb.codewords]
 
     def test_outcome_frequencies(self):
         cb = sample_codebook(3, 1, 1.0, rng=0)
         pool = gen_unitary_pool(3, 1, seed=8)
-        handle = encode(0, 0, cb, pool)
-        dist = handle.distribution()
-        rng = np.random.default_rng(1)
+        dist = output_distribution(pool[0], cb[0])
         trials = 100_000
-        counts = np.zeros(len(dist))
-        for _ in range(trials):
-            out = eavesdrop_photodetect(handle, rng)
-            from qdl_lab.fock import rank
-
-            counts[rank(out)] += 1
+        xs = np.zeros(trials, dtype=np.intp)
+        u = np.random.default_rng(1).random(trials)
+        z = protocol._photodetect(pool[0].entries[None], _modes(cb), xs, xs, u)
+        counts = np.bincount(z, minlength=len(dist))
         for i, p in enumerate(dist):
             se = math.sqrt(trials * p * (1 - p)) + 1e-9
             assert abs(counts[i] - trials * p) <= 4 * se
 
     def test_outcome_valid_config(self):
         cb = sample_codebook(5, 2, 1.0, rng=0)
-        pool = gen_unitary_pool(5, 2, seed=9)
+        units = np.stack([u.entries for u in gen_unitary_pool(5, 2, seed=9)])
         rng = np.random.default_rng(2)
-        out = eavesdrop_photodetect(encode(3, 1, cb, pool), rng)
-        assert out.m == 5 and out.n == 2
+        xs, ks, u = rng.integers(0, len(cb), 50), rng.integers(0, 2, 50), rng.random(50)
+        z = protocol._photodetect(units, _modes(cb), xs, ks, u)
+        assert 0 <= z.min() and z.max() < dim_hilbert(5, 2)
 
 
 class TestEmpiricalMI:
@@ -186,13 +143,18 @@ class TestEmpiricalMI:
         assert empirical_mutual_info(counts) == pytest.approx(0.0, abs=1e-12)
 
     def test_hand_value(self):
-        assert empirical_mutual_info(np.array([[2, 1], [1, 2]])) == pytest.approx(0.0817, abs=5e-5)
+        counts = {(0, 0): 2, (0, 1): 1, (1, 0): 1, (1, 1): 2}
+        assert empirical_mutual_info(counts) == pytest.approx(0.0817, abs=5e-5)
 
     def test_rejects_empty(self):
         with pytest.raises(DomainError):
             empirical_mutual_info({})
         with pytest.raises(DomainError):
-            empirical_mutual_info(np.zeros((2, 2)))
+            empirical_mutual_info({(0, 0): 0, (1, 1): 0})
+
+    def test_rejects_negative_counts(self):
+        with pytest.raises(DomainError):
+            empirical_mutual_info({(0, 0): 3, (0, 1): -1})
 
     @given(st.integers(2, 6))
     def test_deterministic_permutation_table(self, k):
