@@ -19,6 +19,7 @@ from .bounds import (
     rate_loss_curve,
 )
 from .errors import DomainError, ResourceError
+from .exact import max_two_gamma, second_moment, two_gamma
 from .fock import (
     CodeBook,
     ModeConfig,
@@ -44,13 +45,9 @@ from .linop import (
 from .mc import (
     GammaRecord,
     MomentEstimate,
-    bunched_two_gamma,
-    conjectured_c_min,
-    estimate_c_q,
     estimate_gamma_q,
     estimate_moments,
     estimate_raw_c_q,
-    gamma_bound,
     no_collision_values,
 )
 from .protocol import (

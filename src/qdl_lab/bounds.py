@@ -24,7 +24,8 @@ import numpy as np
 
 from .errors import DomainError, ResourceError
 from .fock import log2_dim_hilbert, log2_num_codewords
-from .mc import bunched_two_gamma, log2_conjectured_c_min
+from .exact import two_gamma
+from .mc import log2_conjectured_c_min
 
 LN2 = math.log(2.0)
 
@@ -101,19 +102,23 @@ def _resolve_log2_c_min(c_min: Optional[float], log2_c_min: Optional[float]) -> 
 
 
 def _resolve_log2_M(
-    m: int, n: int, M: Optional[float], xi: Optional[float]
+    m: int, n: int, M: Optional[float], xi: Optional[float], nu: int = 1
 ) -> float:
+    """log2 M from M itself or from M = xi C^nu, which must be >= 1."""
     if M is not None:
         if xi is not None:
             raise DomainError("pass either M or xi, not both")
-        if M < 1:
+        if not M >= 1:
             raise DomainError(f"need M >= 1, got {M}")
         return math.log2(M)
     if xi is None:
         raise DomainError("one of M or xi is required")
     if not 0.0 < xi <= 1.0:
         raise DomainError(f"need 0 < xi <= 1, got {xi}")
-    return math.log2(xi) + log2_num_codewords(m, n)
+    l2M = math.log2(xi) + nu * log2_num_codewords(m, n)
+    if l2M < 0.0:
+        raise DomainError(f"xi = {xi} leaves fewer than one codeword (log2 M = {l2M:.3f})")
+    return l2M
 
 
 def _k_epsilon(
@@ -176,8 +181,8 @@ def k_epsilon_single(
     """
     if not 0.0 < epsilon < 1.0:
         raise DomainError(f"need 0 < epsilon < 1, got {epsilon}")
-    if gamma < 1.0:
-        raise DomainError(f"need gamma >= 1, got {gamma}")
+    if not 1.0 <= gamma < math.inf:
+        raise DomainError(f"need finite gamma >= 1, got {gamma}")
     l2c = _resolve_log2_c_min(c_min, log2_c_min)
     l2M = _resolve_log2_M(m, n, M, xi)
     return _k_epsilon(m, n, 1, l2M, l2c, epsilon, gamma, 256.0, 32.0)
@@ -203,12 +208,10 @@ def k_epsilon_multi(
         raise DomainError(f"need nu >= 1, got {nu}")
     if not 0.0 < epsilon < 1.0:
         raise DomainError(f"need 0 < epsilon < 1, got {epsilon}")
-    if gamma < 1.0:
-        raise DomainError(f"need gamma >= 1, got {gamma}")
-    if not 0.0 < xi <= 1.0:
-        raise DomainError(f"need 0 < xi <= 1, got {xi}")
+    if not 1.0 <= gamma < math.inf:
+        raise DomainError(f"need finite gamma >= 1, got {gamma}")
     l2c = _resolve_log2_c_min(c_min, log2_c_min)
-    l2M = math.log2(xi) + nu * log2_num_codewords(m, n)
+    l2M = _resolve_log2_M(m, n, None, xi, nu)
     return _k_epsilon(m, n, nu, l2M, l2c, epsilon, gamma, 512.0, 64.0)
 
 
@@ -223,8 +226,8 @@ def key_consumption_rate(
 
         k = max{ log2 gamma + log2(d/C), log2(1 / (C c_min)) }.
     """
-    if gamma < 1.0:
-        raise DomainError(f"need gamma >= 1, got {gamma}")
+    if not 1.0 <= gamma < math.inf:
+        raise DomainError(f"need finite gamma >= 1, got {gamma}")
     l2c = _resolve_log2_c_min(c_min, log2_c_min)
     l2d = log2_dim_hilbert(m, n)
     l2C = log2_num_codewords(m, n)
@@ -308,7 +311,7 @@ def rate_loss_curve(
     """Loss-rate trade-off: maximise the net rate over n at each eta.
 
     gamma is the exact 2*gamma_q of the bunched pattern (the conjectured
-    maximiser, ``mc.bunched_two_gamma``); n = 1 uses the exact
+    maximiser, ``exact.two_gamma(m, (n,))``); n = 1 uses the exact
     single-photon value 2.  c_min is the conjectured 1/d.
     """
     if m < 1:
@@ -321,7 +324,7 @@ def rate_loss_curve(
     candidates = range(1, (m if n_max is None else min(n_max, m)) + 1)
     consumption = {
         n: key_consumption_rate(
-            2.0 if n == 1 else bunched_two_gamma(m, n), m, n, log2_c_min=log2_conjectured_c_min(m, n)
+            2.0 if n == 1 else two_gamma(m, (n,)), m, n, log2_c_min=log2_conjectured_c_min(m, n)
         )
         for n in candidates
     }
@@ -357,8 +360,8 @@ def failure_prob_bounds(
         raise DomainError("need K, M, d >= 1")
     if not 0.0 < epsilon < 1.0:
         raise DomainError(f"need 0 < epsilon < 1, got {epsilon}")
-    if gamma < 1.0:
-        raise DomainError(f"need gamma >= 1, got {gamma}")
+    if not 1.0 <= gamma < math.inf:
+        raise DomainError(f"need finite gamma >= 1, got {gamma}")
     l2c = _resolve_log2_c_min(c_min, log2_c_min)
     ln_c = l2c * LN2
     half_log = 0.5 * (math.log(M) + math.log(K) + ln_c - math.log(2.0))

@@ -20,7 +20,7 @@ import time
 from pathlib import Path
 from typing import Optional, Sequence
 
-from . import __version__, bounds, cache, mc, protocol, reference
+from . import __version__, bounds, cache, exact, mc, protocol, reference
 from .errors import DomainError, ResourceError
 from .fock import (
     PhotonPattern,
@@ -149,8 +149,6 @@ def _build_parser() -> tuple[
     opt(common, "--seed", type=int, default=None, help="RNG seed (generated and printed if absent)")
     opt(common, "--workers", type=int, default=1, help="worker processes; 0 = auto")
     opt(common, "--out", default=None, help="output CSV path ('-' or absent = stdout)")
-    opt(common, "--cache", default="gamma_cache.csv",
-        help="user CSV of Monte Carlo records (estimate appends, keysize --gamma-source cache reads)")
     opt(common, "--samples", type=int, default=None, help="Monte Carlo sample count override")
     opt(common, "--accept-long", action="store_true", help="acknowledge long-running estimations")
     common.add_argument("--config", default=None, help="flat key=value config file")
@@ -170,6 +168,7 @@ def _build_parser() -> tuple[
     group = p.add_mutually_exclusive_group()
     opt(group, "--pattern", default=None, help="dash-joined pattern, e.g. 2-1")
     opt(group, "--all-patterns", action="store_true", help="estimate every pattern of (m, n); the default")
+    opt(p, "--cache", default="gamma_cache.csv", help="CSV record of Monte Carlo estimates, appended to")
 
     p = sub.add_parser("keysize", parents=[common], help="minimum pool size log2 K_epsilon")
     p.add_argument("m", type=int, nargs="?")
@@ -177,7 +176,7 @@ def _build_parser() -> tuple[
     opt(p, "--xi", type=float, default=1.0)
     opt(p, "--eps", type=float, default=None)
     opt(p, "--nu", type=int, default=None, help="evaluate the nu-channel-use bound")
-    opt(p, "--gamma-source", choices=["no-collision", "cache", "literal"], default="no-collision")
+    opt(p, "--gamma-source", choices=["no-collision", "exact", "literal"], default="no-collision")
     opt(p, "--gamma", type=float, default=None, help="gamma value for --gamma-source literal")
     opt(p, "--fig2", action="store_true", help="sweep n with m = n^3 (a file --out also gets an SVG)")
     opt(p, "--s", type=float, default=0.5, help="epsilon = 2^(-n^s) exponent for --fig2")
@@ -283,20 +282,12 @@ def _keysize_gamma(args: argparse.Namespace, m: int, n: int) -> tuple[float, flo
         if args.gamma is None:
             raise DomainError("--gamma-source literal requires --gamma")
         return args.gamma, log2_c_min
-    # the bunched pattern is exact; user cache rows supply the other patterns
-    bunched = PhotonPattern((n,))
-    records = [mc.GammaRecord(m, n, bunched, mc.bunched_two_gamma(m, n), 0.0, 0, 0)] + [
-        mc.GammaRecord(r.m, r.n, r.q, r.value, r.stderr, r.samples, r.seed)
-        for r in cache.read_cache(args.cache)
-        if r.kind == "two_gamma" and (r.m, r.n) == (m, n) and r.q != bunched
-    ]
-    bound = mc.gamma_bound(m, n, records)
-    source = "closed form" if bound.argmax == bunched else "cache row"
+    gamma, argmax, exhaustive = exact.max_two_gamma(m, n)
     _msg(
-        f"gamma from {source}: {bound.two_gamma:.4g} at q={bound.argmax.label()} "
-        f"({'exhaustive' if bound.exhaustive else 'conjectured maximiser'})"
+        f"gamma from exact: {gamma:.4g} at q={argmax.label()} "
+        f"({'exhaustive' if exhaustive else 'conjectured maximiser'})"
     )
-    return bound.two_gamma, log2_c_min
+    return gamma, log2_c_min
 
 
 def cmd_keysize(args: argparse.Namespace) -> int:

@@ -11,6 +11,7 @@ block diagonal over.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence, Union
@@ -224,20 +225,14 @@ def enumerate_basis(m: int, n: int) -> tuple[ModeConfig, ...]:
 
 @functools.lru_cache(maxsize=256)
 def _basis_cached(m: int, n: int) -> tuple[ModeConfig, ...]:
-    out: list[ModeConfig] = []
-    occ = [0] * m
-
-    def fill(pos: int, left: int) -> None:
-        if pos == m - 1:
-            occ[pos] = left
-            out.append(ModeConfig(tuple(occ)))
-            return
-        for v in range(left, -1, -1):
-            occ[pos] = v
-            fill(pos + 1, left - v)
-        occ[pos] = 0
-
-    fill(0, n)
+    # sorted mode tuples in lexicographic order are the occupation tuples
+    # in descending lexicographic order
+    out = []
+    for modes in itertools.combinations_with_replacement(range(m), n):
+        occ = [0] * m
+        for mode in modes:
+            occ[mode] += 1
+        out.append(ModeConfig(tuple(occ)))
     return tuple(out)
 
 
@@ -347,6 +342,18 @@ def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
+def codebook_size(m: int, n: int, xi: float) -> int:
+    """M = max(1, round(xi*C)); above ``CODEBOOK_CAP`` it raises ResourceError."""
+    if not 0 < xi <= 1:
+        raise DomainError(f"need 0 < xi <= 1, got {xi}")
+    M = max(1, _round_half_up(xi * num_codewords(m, n)))
+    if M > CODEBOOK_CAP:
+        raise ResourceError(
+            f"codebook size {M} exceeds cap {CODEBOOK_CAP} for (m, n, xi) = ({m}, {n}, {xi})"
+        )
+    return M
+
+
 def sample_codebook(m: int, n: int, xi: float, rng: Union[int, np.random.Generator]) -> CodeBook:
     """Uniform sample of M = max(1, round(xi*C)) single-occupancy codewords.
 
@@ -355,14 +362,8 @@ def sample_codebook(m: int, n: int, xi: float, rng: Union[int, np.random.Generat
     platforms.  M above ``CODEBOOK_CAP`` raises ResourceError before any
     sampling.
     """
-    if not 0 < xi <= 1:
-        raise DomainError(f"need 0 < xi <= 1, got {xi}")
+    M = codebook_size(m, n, xi)
     C = num_codewords(m, n)
-    M = max(1, _round_half_up(xi * C))
-    if M > CODEBOOK_CAP:
-        raise ResourceError(
-            f"codebook size {M} exceeds cap {CODEBOOK_CAP} for (m, n, xi) = ({m}, {n}, {xi})"
-        )
     rng = np.random.default_rng(rng)
     if C <= 1_000_000:
         picks = rng.permutation(C)[:M]

@@ -23,14 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .fock import (
-    PatternLike,
-    PhotonPattern,
-    as_pattern,
-    dim_hilbert,
-    enumerate_patterns,
-    log2_dim_hilbert,
-)
+from .fock import PatternLike, PhotonPattern, as_pattern, log2_dim_hilbert
 from .linop import _neumaier_add, _permanent_batch, stiefel_batch
 
 CHUNK = 4096
@@ -75,16 +68,6 @@ class GammaRecord:
     stderr: float
     samples: int
     seed: int
-
-
-@dataclass(frozen=True)
-class GammaBound:
-    """Result of maximising 2*gamma_q over supplied records."""
-
-    two_gamma: float
-    exhaustive: bool
-    conjecture_based: bool
-    argmax: PhotonPattern
 
 
 def fan_out(fn: Callable, tasks: Sequence, workers: int) -> list:
@@ -202,13 +185,6 @@ def _bootstrap_ratio_stderr(
     return float(np.std(ratios))
 
 
-def estimate_c_q(
-    m: int, n: int, q: PatternLike, samples: int, seed: int, workers: int = 1
-) -> float:
-    """c_q = E_U[|<phi_q|U|psi>|^2]; equals 1/d for every pattern."""
-    return estimate_moments(m, n, q, samples, seed, workers).mean
-
-
 def estimate_raw_c_q(
     m: int, n: int, q: PatternLike, samples: int, seed: int, workers: int = 1
 ) -> float:
@@ -241,38 +217,6 @@ def estimate_gamma_q(
     )
 
 
-def gamma_bound(m: int, n: int, records: Sequence[GammaRecord]) -> GammaBound:
-    """Max of 2*gamma_q over records, flagging the coverage that backs it.
-
-    Coverage is either exhaustive over all patterns of (m, n) or rests on
-    the conjecture that the fully bunched pattern maximises the ratio.
-    """
-    records = [r for r in records if r.m == m and r.n == n]
-    if not records:
-        raise DomainError(f"no gamma records supplied for (m, n) = ({m}, {n})")
-    have = {r.q.parts for r in records}
-    all_patterns = {p.parts for p in enumerate_patterns(m, n)}
-    exhaustive = all_patterns <= have
-    conjecture_based = not exhaustive
-    if conjecture_based and (n,) not in have:
-        raise DomainError(
-            f"records for (m, n) = ({m}, {n}) cover neither all patterns nor "
-            f"the conjectured maximiser {(n,)}"
-        )
-    best = max(records, key=lambda r: r.two_gamma_q)
-    return GammaBound(
-        two_gamma=best.two_gamma_q,
-        exhaustive=exhaustive,
-        conjecture_based=conjecture_based,
-        argmax=best.q,
-    )
-
-
-def conjectured_c_min(m: int, n: int) -> float:
-    """Conjectured minimum coefficient, 1/dim of the n-photon space."""
-    return 1.0 / dim_hilbert(m, n)
-
-
 def log2_conjectured_c_min(m: int, n: int) -> float:
     return -log2_dim_hilbert(m, n)
 
@@ -290,22 +234,3 @@ def no_collision_values(m: int, n: int) -> tuple[float, float]:
         return 1.0 / m, 2.0
     return math.factorial(n) / float(m) ** n, 2.0 * (n + 1)
 
-
-def bunched_two_gamma(m: int, n: int) -> float:
-    """Exact 2*gamma_q of the bunched pattern q = (n), for any n <= m.
-
-    X is the product of n squared entries of one Haar column, whose squared
-    moduli are Dirichlet(1, ..., 1): E[X^2] = (n!)^2 2^n / m^(2n) (rising
-    factorial) and E[X] = 1/d, so 2*gamma = 2 d^2 (n!)^2 2^n / m^(2n).
-    Python-int true division rounds once, correctly, at the end.  The
-    value is at least 2^(n/4), so past n = 4200 no float holds it.
-    """
-    if not 1 <= n <= m:
-        raise DomainError(f"need 1 <= n <= m, got ({m}, {n})")
-    if n <= 4200:
-        top = dim_hilbert(m, n) * math.factorial(n)
-        try:
-            return 2 * top * top * 2**n / math.prod(range(m, m + 2 * n))
-        except OverflowError:
-            pass
-    raise DomainError(f"2*gamma of the bunched pattern at (m, n) = ({m}, {n}) exceeds float range")

@@ -18,7 +18,7 @@ from typing import Mapping, Optional, Sequence, Union
 import numpy as np
 
 from .errors import DomainError, ResourceError
-from .fock import CodeBook, ModeConfig, dim_hilbert, sample_codebook
+from .fock import CodeBook, ModeConfig, _check_basis, codebook_size, dim_hilbert, sample_codebook
 from .linop import BLOCK_BYTES, UnitaryMatrix, haar_batch, output_distributions
 from .mc import fan_out
 
@@ -26,9 +26,15 @@ SHARD = 4096
 
 #: Cap on trials * d.  The blind diagnostic draws one of d outcomes per
 #: trial, from the d-point distributions of up to one (k, x) pair per trial,
-#: so trials * d bounds its permanents.  The codebook and basis have their own
-#: caps (fock.CODEBOOK_CAP, fock.BASIS_CAP); all raise ResourceError, exit 4.
+#: so trials * d bounds its permanents.  The codebook, basis and pool have
+#: their own caps (fock.CODEBOOK_CAP, fock.BASIS_CAP, POOL_CAP); all raise
+#: ResourceError, exit 4.
 DEFAULT_BUDGET = 50_000_000
+
+#: Cap on K * max(m^2, 16): pool entries, floored for the per-key cost of small m.
+#: On 2 vCPUs a pool at the cap took 3.8 s and 280 MB peak RSS at m = 4, 1.8 s
+#: at m = 200 and 1.7 s at m = 1000; K = 10^6 at m = 1 took 11 s and 520 MB.
+POOL_CAP = 4_000_000
 
 LN2 = math.log(2.0)
 
@@ -94,9 +100,11 @@ class TrialSummary:
 def gen_unitary_pool(
     m: int, K: int, seed: Union[int, np.random.Generator]
 ) -> tuple[UnitaryMatrix, ...]:
-    """K i.i.d. Haar unitaries; bitwise stable for a given seed."""
+    """K i.i.d. Haar unitaries, bitwise stable for a seed; refused above ``POOL_CAP``."""
     if K < 1:
         raise DomainError(f"need K >= 1, got {K}")
+    if K * max(m * m, 16) > POOL_CAP:
+        raise ResourceError(f"pool of K = {K} unitaries of m = {m} modes exceeds cap {POOL_CAP}")
     return tuple(UnitaryMatrix(u) for u in haar_batch(np.random.default_rng(seed), K, m))
 
 
@@ -259,18 +267,20 @@ def run_trials(
     plug-in mutual-information estimates for the keyed receiver and for
     a key-blind photodetector, with their standard bias bounds.
 
-    trials * d above ``DEFAULT_BUDGET`` and a codebook above
-    ``fock.CODEBOOK_CAP`` raise ResourceError, in that order, before any
-    sampling; a basis above ``fock.BASIS_CAP`` raises it in the first
-    shard, before any trial runs.
+    trials * d above ``DEFAULT_BUDGET``, a codebook above
+    ``fock.CODEBOOK_CAP``, a basis above ``fock.BASIS_CAP`` and a pool
+    above ``POOL_CAP`` raise ResourceError, in that order, before any
+    sampling.  The basis cap also bounds the codebook's M * m entries.
     """
     d = dim_hilbert(config.m, config.n)
     if config.trials * d > DEFAULT_BUDGET:
         raise ResourceError(
             f"trials*d = {config.trials * d} exceeds budget {DEFAULT_BUDGET}; reduce trials"
         )
-    codebook = sample_codebook(config.m, config.n, config.xi, np.random.default_rng([config.seed, 2]))
+    codebook_size(config.m, config.n, config.xi)
+    _check_basis(config.m, config.n)
     pool = gen_unitary_pool(config.m, config.K, np.random.default_rng([config.seed, 1]))
+    codebook = sample_codebook(config.m, config.n, config.xi, np.random.default_rng([config.seed, 2]))
     occ = np.array([cw.occupations for cw in codebook.codewords], dtype=np.int8)
     units = np.stack([u.entries for u in pool])
     M = len(occ)

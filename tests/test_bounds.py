@@ -124,6 +124,15 @@ class TestKeySizeSingle:
             k_epsilon_single(6, 2, M=10, epsilon=0.1, gamma=0.5, c_min=1 / 21)
         with pytest.raises(DomainError):
             k_epsilon_single(6, 2, epsilon=0.1, gamma=4.0, c_min=1 / 21)  # no M or xi
+        for gamma in (math.nan, math.inf):
+            with pytest.raises(DomainError):
+                k_epsilon_single(6, 2, M=10, epsilon=0.1, gamma=gamma, c_min=1 / 21)
+            with pytest.raises(DomainError):
+                k_epsilon_multi(6, 2, 2, 0.5, 0.1, gamma, c_min=1 / 21)
+        with pytest.raises(DomainError):
+            k_epsilon_single(10, 3, xi=1e-300, epsilon=0.1, gamma=4.0, c_min=1 / 21)  # xi C < 1
+        with pytest.raises(DomainError):
+            k_epsilon_multi(10, 3, 2, 1e-300, 0.1, 4.0, c_min=1 / 21)  # xi C^2 < 1
 
 
 class TestKeySizeMulti:

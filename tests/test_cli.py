@@ -152,52 +152,53 @@ class TestKeysize:
         log2_k = float(out.splitlines()[1].split("=")[1])
         assert log2_k > 1000  # scales with the number of channel uses
 
-    def test_cache_source_without_cache_file_is_exact(self, tmp_path, capsys):
+    def test_exact_source_gamma_in_csv(self, tmp_path, capsys):
         out_path = tmp_path / "k.csv"
         code, _, err = run_cli(
-            ["keysize", "7", "2", "--xi", "1", "--eps", "0.1", "--gamma-source", "cache",
-             "--cache", str(tmp_path / "none.csv"), "--out", str(out_path)],
+            ["keysize", "7", "2", "--xi", "1", "--eps", "0.1", "--gamma-source", "exact",
+             "--out", str(out_path)],
             capsys,
         )
         assert code == 0
         gamma = out_path.read_text().splitlines()[2].split(",")[5]
         assert float(gamma) == exact_two_gamma(7, 2, (2,))
-        assert "gamma from closed form" in err
+        assert "gamma from exact: 4.978 at q=2 (exhaustive)" in err
 
-    @pytest.mark.parametrize(
-        "row,winner,source",
-        [("6,2,1-1,two_gamma,5.0,0.1,1000,1", "5 at q=1-1", "cache row"),
-         ("6,2,2,two_gamma,99.0,0.1,1000,1", "4.667 at q=2", "closed form")],
-        ids=["other-pattern-wins", "bunched-row-ignored"],
-    )
-    def test_cache_rows_beside_closed_form(self, tmp_path, capsys, row, winner, source):
-        user = tmp_path / "user.csv"
-        user.write_text("m,n,q,kind,value,stderr,samples,seed\n" + row + "\n")
-        code, _, err = run_cli(
-            ["keysize", "6", "2", "--eps", "0.1", "--gamma-source", "cache", "--cache", str(user)],
+    def test_exact_source_non_bunched_maximiser(self, capsys):
+        code, out, err = run_cli(["keysize", "2", "2", "--eps", "0.1", "--gamma-source", "exact"], capsys)
+        assert code == 0
+        assert "gamma from exact: 3.6 at q=1-1 (exhaustive)" in err
+        assert "log2_K_epsilon  = 24.076" in out
+
+    def test_exact_source_worked_example(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            ["keysize", "8000", "20", "--xi", "0.01", "--eps", "1e-10", "--gamma-source", "exact"],
             capsys,
         )
         assert code == 0
-        assert f"gamma from {source}: {winner} " in err
-
-    @pytest.mark.parametrize(
-        "row,message",
-        [("6,2,2,two_gamma,4.6", "expected 8 fields"), ("6,2,2,two_gamma,abc,0.1,100,1", "'abc'")],
-        ids=["five-fields", "not-a-number"],
-    )
-    def test_bad_cache_row_usage_error(self, tmp_path, capsys, row, message):
-        bad = tmp_path / "bad.csv"
-        bad.write_text("m,n,q,kind,value,stderr,samples,seed\n" + row + "\n")
-        code, _, err = run_cli(
-            ["keysize", "6", "2", "--eps", "0.01", "--gamma-source", "cache", "--cache", str(bad)],
-            capsys,
-        )
-        assert code == 2
-        assert f"{bad}:2:" in err and message in err
+        assert "at q=20 (exhaustive)" in err
+        assert "log2_K_epsilon  = 142.651" in out
+        assert time.perf_counter() - start < 3.0
 
     def test_missing_eps_usage_error(self, capsys):
         code, _, _ = run_cli(["keysize", "6", "2"], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--gamma-source", "literal", "--gamma", "nan"], "need finite gamma >= 1"),
+            (["--gamma-source", "literal", "--gamma", "inf"], "need finite gamma >= 1"),
+            (["--xi", "1e-300"], "fewer than one codeword"),
+            (["--xi", "1e-300", "--nu", "2"], "fewer than one codeword"),
+        ],
+        ids=["nan-gamma", "inf-gamma", "xi-below-one-codeword", "xi-below-one-codeword-nu"],
+    )
+    def test_bad_input_usage_error(self, capsys, flags, message):
+        code, out, err = run_cli(["keysize", "10", "3", "--eps", "0.1", *flags], capsys)
+        assert code == 2
+        assert message in err and out == ""
 
 
 class TestRate:
@@ -311,6 +312,21 @@ class TestSimulate:
         code, _, err = run_cli(["simulate", "60", "5", "--trials", "1", "--seed", "1"], capsys)
         assert code == 4
         assert "codebook size 5461512 exceeds cap" in err
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [(["5000", "1"], "basis d*(m+n) = 25005000 exceeds cap"),
+         (["3", "2", "--K", "100000000"], "pool of K = 100000000 unitaries of m = 3 modes exceeds cap")],
+        ids=["basis", "pool"],
+    )
+    def test_caps_before_pool(self, capsys, argv, message):
+        # either pool would take gigabytes (16 unitaries of 5000 modes: 6.4 GB);
+        # both caps are checked before it is sampled
+        start = time.perf_counter()
+        code, _, err = run_cli(["simulate", *argv, "--trials", "1", "--seed", "1"], capsys)
+        assert code == 4
+        assert message in err
         assert time.perf_counter() - start < 1.0
 
 

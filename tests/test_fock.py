@@ -89,6 +89,16 @@ class TestEnumeration:
         basis = [c.occupations for c in enumerate_basis(5, 3)]
         assert basis == sorted(basis, reverse=True)
 
+    @pytest.mark.parametrize("m,n", [(3, 2), (4, 3), (5, 3), (2, 4), (6, 2)])
+    def test_order_is_rank_order(self, m, n):
+        assert [rank(c) for c in enumerate_basis(m, n)] == list(range(dim_hilbert(m, n)))
+
+    def test_many_modes(self):
+        # one mode per recursion level would pass Python's recursion limit
+        basis = enumerate_basis(1500, 1)
+        assert len(basis) == 1500
+        assert basis[0].occupations[0] == 1 and basis[-1].occupations[-1] == 1
+
     @pytest.mark.parametrize("m,n", [(1, 3), (4, 1), (5, 3), (3, 6)])
     def test_basis_tables(self, m, n, monkeypatch):
         cols, norms = basis_tables(m, n)

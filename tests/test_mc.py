@@ -1,3 +1,4 @@
+import csv
 import math
 from fractions import Fraction
 
@@ -9,14 +10,9 @@ from qdl_lab import cache
 from qdl_lab.errors import DomainError
 from qdl_lab.fock import PhotonPattern, dim_hilbert, enumerate_patterns
 from qdl_lab.mc import (
-    GammaRecord,
-    bunched_two_gamma,
-    conjectured_c_min,
-    estimate_c_q,
     estimate_gamma_q,
     estimate_moments,
     estimate_raw_c_q,
-    gamma_bound,
     log2_conjectured_c_min,
     no_collision_values,
 )
@@ -89,7 +85,7 @@ class TestMoments:
 
 class TestCq:
     def test_c_q_example_10_3(self):
-        val = estimate_c_q(10, 3, (1, 1, 1), SAMPLES, seed=31)
+        val = estimate_moments(10, 3, (1, 1, 1), SAMPLES, seed=31).mean
         assert val == pytest.approx(1 / 220, rel=0.05)
 
     def test_raw_c_q_is_scaled_mean(self):
@@ -160,31 +156,9 @@ class TestGamma:
         assert recs[0] == recs[1] == recs[2]
 
 
-class TestGammaBound:
-    def _rec(self, m, n, q, val):
-        return GammaRecord(m=m, n=n, q=PhotonPattern(q), two_gamma_q=val, stderr=0.01, samples=10_000, seed=0)
-
-    def test_full_coverage(self):
-        recs = [self._rec(6, 2, (1, 1), 3.77), self._rec(6, 2, (2,), 4.314)]
-        bound = gamma_bound(6, 2, recs)
-        assert bound.two_gamma == pytest.approx(4.314)
-        assert bound.exhaustive and not bound.conjecture_based
-
-    def test_conjecture_mode(self):
-        bound = gamma_bound(30, 10, [self._rec(30, 10, (10,), 111.5)])
-        assert bound.two_gamma == pytest.approx(111.5)
-        assert bound.conjecture_based
-
-    def test_insufficient_coverage(self):
-        with pytest.raises(DomainError):
-            gamma_bound(6, 2, [self._rec(6, 2, (1, 1), 3.77)])
-        with pytest.raises(DomainError):
-            gamma_bound(6, 2, [])
-
-
 class TestClosedForms:
     def test_conjectured_c_min(self):
-        assert conjectured_c_min(6, 2) == pytest.approx(1 / 21)
+        assert log2_conjectured_c_min(6, 2) == pytest.approx(math.log2(1 / 21))
         assert log2_conjectured_c_min(8000, 20) == pytest.approx(-198.27, abs=0.05)
 
     def test_no_collision_values(self):
@@ -196,16 +170,6 @@ class TestClosedForms:
         c, g = no_collision_values(17, 1)
         assert c == pytest.approx(1 / 17)
         assert g == 2.0
-
-    def test_bunched_two_gamma_equals_oracle(self):
-        for m in range(2, 41):
-            for n in range(2, m + 1):
-                assert bunched_two_gamma(m, n) == exact_two_gamma(m, n, (n,)), (m, n)
-
-    def test_bunched_two_gamma_domain(self):
-        for m, n in [(3, 4), (5, 0), (5000, 4300)]:
-            with pytest.raises(DomainError):
-                bunched_two_gamma(m, n)
 
     def test_exact_oracle_selfconsistency(self):
         # the bunched Dirichlet route and the two-component route agree
@@ -223,8 +187,9 @@ class TestCacheIO:
             cache.CacheRow(6, 2, PhotonPattern((1, 1)), "c", 1 / 21, 0.0003, 1000, 7),
         ]
         cache.append_rows(path, rows)
-        back = cache.read_cache(path)
-        assert back == rows
+        with path.open(newline="") as fh:
+            back = list(csv.reader(fh))
+        assert back == [cache.HEADER] + [r.as_csv_row() for r in rows]
 
     def test_dash_label(self, tmp_path):
         path = tmp_path / "cache.csv"

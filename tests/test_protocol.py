@@ -42,6 +42,15 @@ class TestPool:
             dev = np.abs(u.entries.conj().T @ u.entries - np.eye(6)).max()
             assert dev <= 1e-12
 
+    def test_cap(self, monkeypatch):
+        # K * max(m^2, 16): the floor prices small-m keys
+        monkeypatch.setattr(protocol, "POOL_CAP", 36 * 8)
+        assert len(gen_unitary_pool(6, 8, seed=3)) == 8
+        assert len(gen_unitary_pool(2, 18, seed=3)) == 18
+        for m, K in [(6, 9), (2, 19)]:
+            with pytest.raises(ResourceError):
+                gen_unitary_pool(m, K, seed=3)
+
 
 class TestLossyChannel:
     """Per-photon loss inside run_trials, seen through its transcript."""

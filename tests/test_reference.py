@@ -1,7 +1,5 @@
-import pytest
-
 from qdl_lab import reference
-from qdl_lab.fock import PhotonPattern, enumerate_patterns
+from qdl_lab.fock import enumerate_patterns
 
 
 class TestReferenceData:
@@ -29,10 +27,10 @@ class TestReferenceData:
                 assert (n,) in entries
 
     def test_lookup(self):
-        assert reference.published_two_gamma(30, 10, PhotonPattern((10,))) == 111.5
-        assert reference.published_two_gamma(6, 2, PhotonPattern((1, 1))) == 3.770
-        with pytest.raises(KeyError):
-            reference.published_two_gamma(7, 2, PhotonPattern((2,)))
+        tables = reference.gamma_tables()
+        assert tables["V"][(30, 10)][(10,)] == 111.5
+        assert tables["II"][(6, 2)][(1, 1)] == 3.770
+        assert all((7, 2) not in table for table in tables.values())
 
     def test_all_values_positive(self):
         for table in reference.gamma_tables().values():
