@@ -22,12 +22,9 @@ class TestOracles:
                 assert exact.two_gamma(m, (n,)) == exact_two_gamma(m, n, (n,)), (m, n)
 
     def test_domain(self):
-        for m, q in [(3, (4,)), (5, ()), (5000, (4300,)), (2, (1, 1, 1))]:
+        for m, q in [(2, (1, 1, 1)), (4, (0, 2)), (6, (4, 3))]:
             with pytest.raises(DomainError):
                 exact.two_gamma(m, q)
-        for m, n in [(5, 0), (3, 4)]:
-            with pytest.raises(DomainError):
-                exact.max_two_gamma(m, n)
 
 
 class TestMonteCarlo:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from oracles import exact_mean, exact_second_moment, exact_two_gamma
-from qdl_lab import cache
+from qdl_lab import cache, exact
 from qdl_lab.errors import DomainError
 from qdl_lab.fock import PhotonPattern, dim_hilbert, enumerate_patterns
 from qdl_lab.mc import (
@@ -177,6 +177,20 @@ class TestClosedForms:
             top_only = Fraction(math.factorial(n)) ** 2 * 2**n
             assert exact_second_moment(m, n, (n,)) > 0
             assert exact_mean(m, n) == Fraction(1, dim_hilbert(m, n))
+
+    def test_bunched_two_gamma_domain(self):
+        # n > m, n = 0 and a value beyond float range
+        for m, q in [(3, (4,)), (5, ()), (5000, (4300,))]:
+            with pytest.raises(DomainError):
+                exact.two_gamma(m, q)
+
+
+class TestGammaBound:
+    def test_insufficient_coverage(self):
+        # no pattern of (m, n) exists to back a maximum when n = 0 or n > m
+        for m, n in [(6, 0), (3, 4)]:
+            with pytest.raises(DomainError):
+                exact.max_two_gamma(m, n)
 
 
 class TestCacheIO:
