@@ -9,13 +9,11 @@ __version__ = "0.1.0"
 
 from .bounds import (
     KeySizeReport,
-    SecurityParams,
     failure_prob_bounds,
     k_epsilon_multi,
     k_epsilon_single,
     key_consumption_rate,
     mutual_info_lossy,
-    net_rate,
     rate_loss_curve,
 )
 from .errors import DomainError, ResourceError
@@ -30,17 +28,13 @@ from .fock import (
     log2_dim_hilbert,
     log2_num_codewords,
     num_codewords,
-    pattern_of,
-    rank,
     sample_codebook,
-    unrank,
 )
 from .linop import (
     UnitaryMatrix,
     haar_unitary,
     output_distribution,
     permanent,
-    transition_amplitude,
 )
 from .mc import (
     GammaRecord,

@@ -40,26 +40,6 @@ RATE_SWEEP_TERMS = 530_000
 
 
 @dataclass(frozen=True)
-class SecurityParams:
-    """Scalar knobs of the protocol analysis."""
-
-    epsilon: float
-    xi: float = 1.0
-    beta: float = 1.0
-    eta: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.epsilon < 1.0:
-            raise DomainError(f"need 0 < epsilon < 1, got {self.epsilon}")
-        if not 0.0 < self.xi <= 1.0:
-            raise DomainError(f"need 0 < xi <= 1, got {self.xi}")
-        if not 0.0 <= self.beta <= 1.0:
-            raise DomainError(f"need 0 <= beta <= 1, got {self.beta}")
-        if not 0.0 <= self.eta <= 1.0:
-            raise DomainError(f"need 0 <= eta <= 1, got {self.eta}")
-
-
-@dataclass(frozen=True)
 class KeySizeReport:
     """log2 of the key-space size with branch diagnostics and input echo."""
 
@@ -258,23 +238,6 @@ def mutual_info_lossy(m: int, n: int, eta: float) -> float:
         pmf = math.comb(n, k) * eta**k * (1.0 - eta) ** (n - k)
         acc += pmf * math.log2(c)
     return l2C - acc
-
-
-def net_rate(
-    m: int,
-    n: int,
-    eta: float,
-    beta: float,
-    gamma: float,
-    c_min: Optional[float] = None,
-    log2_c_min: Optional[float] = None,
-) -> float:
-    """Net key bits per channel use; negative when locking loses."""
-    if not 0.0 <= beta <= 1.0:
-        raise DomainError(f"need 0 <= beta <= 1, got {beta}")
-    info = mutual_info_lossy(m, n, eta)
-    k = key_consumption_rate(gamma, m, n, c_min=c_min, log2_c_min=log2_c_min)
-    return beta * info - k
 
 
 @dataclass(frozen=True)

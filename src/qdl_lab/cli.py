@@ -4,7 +4,9 @@ Commands: estimate, keysize, rate, simulate, tables, dim.  Machine
 output is CSV (stdout or --out) with a version header line
 ``# qdl-lab v<semver> cmd=<name> seed=<seed>``; human diagnostics go to
 stderr.  Every command honours --seed for byte-identical output across
-runs and worker counts.
+runs and worker counts.  --seed, --out and --config are shared;
+--workers is taken by estimate, simulate and tables, --samples by
+estimate and tables, and --accept-long by tables.
 
 Exit codes: 0 success, 2 usage error, 4 resource cap.
 """
@@ -24,7 +26,6 @@ from . import __version__, bounds, cache, exact, mc, protocol, reference
 from .errors import DomainError, ResourceError
 from .fock import (
     PhotonPattern,
-    as_pattern,
     dim_hilbert,
     enumerate_patterns,
     log2_dim_hilbert,
@@ -147,11 +148,12 @@ def _build_parser() -> tuple[
 
     common = argparse.ArgumentParser(add_help=False)
     opt(common, "--seed", type=int, default=None, help="RNG seed (generated and printed if absent)")
-    opt(common, "--workers", type=int, default=1, help="worker processes; 0 = auto")
     opt(common, "--out", default=None, help="output CSV path ('-' or absent = stdout)")
-    opt(common, "--samples", type=int, default=None, help="Monte Carlo sample count override")
-    opt(common, "--accept-long", action="store_true", help="acknowledge long-running estimations")
     common.add_argument("--config", default=None, help="flat key=value config file")
+    workers = argparse.ArgumentParser(add_help=False)
+    opt(workers, "--workers", type=int, default=1, help="worker processes; 0 = auto")
+    samples = argparse.ArgumentParser(add_help=False)
+    opt(samples, "--samples", type=int, default=None, help="Monte Carlo sample count override")
 
     parser = argparse.ArgumentParser(prog="qdl-lab", description=__doc__)
     parser.add_argument("--version", action="version", version=f"qdl-lab {__version__}")
@@ -161,7 +163,7 @@ def _build_parser() -> tuple[
     p.add_argument("m", type=int)
     p.add_argument("n", type=int)
 
-    p = sub.add_parser("estimate", parents=[common], help="Monte Carlo c_q / gamma_q estimation")
+    p = sub.add_parser("estimate", parents=[common, workers, samples], help="Monte Carlo c_q / gamma_q estimation")
     p.add_argument("kind", choices=["c", "gamma"])
     p.add_argument("m", type=int)
     p.add_argument("n", type=int)
@@ -191,7 +193,7 @@ def _build_parser() -> tuple[
     opt(p, "--n-max", type=int, default=None)
     opt(p, "--svg", default=None, help="SVG chart path (default: derived from --out)")
 
-    p = sub.add_parser("simulate", parents=[common], help="end-to-end protocol simulation")
+    p = sub.add_parser("simulate", parents=[common, workers], help="end-to-end protocol simulation")
     p.add_argument("m", type=int)
     p.add_argument("n", type=int)
     opt(p, "--K", type=int, default=16)
@@ -200,8 +202,9 @@ def _build_parser() -> tuple[
     opt(p, "--trials", type=int, default=10_000)
     opt(p, "--transcript", default=None, help="write per-trial transcript CSV here")
 
-    p = sub.add_parser("tables", parents=[common], help="re-estimate a published table")
+    p = sub.add_parser("tables", parents=[common, workers, samples], help="re-estimate a published table")
     p.add_argument("which", choices=["I", "II", "III", "IV", "V"])
+    opt(p, "--accept-long", action="store_true", help="acknowledge long-running estimations")
 
     return parser, sub.choices, options
 

@@ -14,7 +14,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -29,6 +29,9 @@ BASIS_CAP = 20_000_000
 #: codewords of 60 modes take about 3 s and 120 MB to build on 2 vCPUs; a
 #: million take 33 s and 0.9 GB.
 CODEBOOK_CAP = 100_000
+
+#: Largest n whose n! fits a float, for the factorial norms of basis_tables.
+NORM_N_MAX = 170
 
 
 def _check_mn(m: int, n: int) -> None:
@@ -66,15 +69,6 @@ class ModeConfig:
 
     def is_single_occupancy(self) -> bool:
         return all(v <= 1 for v in self.occupations)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.occupations)
-
-    def __len__(self) -> int:
-        return len(self.occupations)
-
-    def __getitem__(self, i: int) -> int:
-        return self.occupations[i]
 
 
 @dataclass(frozen=True)
@@ -126,12 +120,6 @@ class PhotonPattern:
             raise DomainError(f"cannot parse pattern label {text!r}") from exc
         return cls(parts)
 
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.parts)
-
-    def __len__(self) -> int:
-        return len(self.parts)
-
 
 PatternLike = Union[PhotonPattern, Sequence[int]]
 
@@ -171,10 +159,6 @@ class CodeBook:
     def n(self) -> int:
         return self.codewords[0].n
 
-    @property
-    def M(self) -> int:
-        return len(self.codewords)
-
     def __len__(self) -> int:
         return len(self.codewords)
 
@@ -207,7 +191,9 @@ def log2_num_codewords(m: int, n: int) -> float:
 
 
 def _check_basis(m: int, n: int) -> None:
-    """Refuse a basis whose d * (m + n) is above ``BASIS_CAP``, read per call."""
+    """DomainError above ``NORM_N_MAX`` photons; ResourceError above ``BASIS_CAP``, read per call."""
+    if n > NORM_N_MAX:
+        raise DomainError(f"n = {n} exceeds {NORM_N_MAX}, the largest n whose n! fits a float")
     size = dim_hilbert(m, n) * (m + n)
     if size > BASIS_CAP:
         raise ResourceError(f"basis d*(m+n) = {size} exceeds cap {BASIS_CAP} at ({m}, {n})")
@@ -216,8 +202,8 @@ def _check_basis(m: int, n: int) -> None:
 def enumerate_basis(m: int, n: int) -> tuple[ModeConfig, ...]:
     """All occupation tuples in descending lexicographic order.
 
-    The position of a config in this sequence is its canonical index; see
-    ``rank`` and ``unrank`` for the matching bijections.
+    The position of a config in this sequence is its canonical index, the
+    row of ``basis_tables`` and of every output distribution.
     """
     _check_basis(m, n)
     return _basis_cached(m, n)
@@ -258,53 +244,6 @@ def _tables_cached(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     return cols, norms
 
 
-def rank(config: ModeConfig) -> int:
-    """Canonical index of a config under the descending-lex order."""
-    m, n = config.m, config.n
-    r = 0
-    left = n
-    for pos in range(m - 1):
-        v = config.occupations[pos]
-        # configs with a larger occupancy at this position come first
-        for w in range(left, v, -1):
-            r += dim_hilbert(m - pos - 1, left - w)
-        left -= v
-    return r
-
-
-def unrank(m: int, n: int, i: int) -> ModeConfig:
-    """Inverse of ``rank``: the i-th config in canonical order."""
-    d = dim_hilbert(m, n)
-    if not 0 <= i < d:
-        raise DomainError(f"index {i} out of range [0, {d}) for (m, n) = ({m}, {n})")
-    occ = []
-    left = n
-    for pos in range(m - 1):
-        for v in range(left, -1, -1):
-            block = dim_hilbert(m - pos - 1, left - v)
-            if i < block:
-                occ.append(v)
-                left -= v
-                break
-            i -= block
-    occ.append(left)
-    return ModeConfig(tuple(occ))
-
-
-def pattern_of(config: ModeConfig) -> PhotonPattern:
-    """Multiset of nonzero occupations, sorted non-increasing."""
-    parts = tuple(sorted((v for v in config.occupations if v > 0), reverse=True))
-    return PhotonPattern(parts)
-
-
-def config_for_pattern(m: int, q: PatternLike) -> ModeConfig:
-    """Representative config with pattern q placed on the leading modes."""
-    q = as_pattern(q)
-    if len(q.parts) > m:
-        raise DomainError(f"pattern {q.parts} does not fit in {m} modes")
-    return ModeConfig(tuple(q.parts) + (0,) * (m - len(q.parts)))
-
-
 def enumerate_patterns(m: int, n: int) -> list[PhotonPattern]:
     """All photon patterns (partitions of n into at most m parts).
 
@@ -329,13 +268,6 @@ def enumerate_patterns(m: int, n: int) -> list[PhotonPattern]:
 
     parts_of(n, n, [])
     return out
-
-
-def codeword_config(m: int, n: int) -> ModeConfig:
-    """The reference codeword |1,...,1,0,...,0> on the first n modes."""
-    if n > m:
-        raise DomainError(f"codeword needs n <= m, got ({m}, {n})")
-    return ModeConfig((1,) * n + (0,) * (m - n))
 
 
 def _round_half_up(x: float) -> int:

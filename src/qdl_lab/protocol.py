@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Union
 
 import numpy as np
 
 from .errors import DomainError, ResourceError
 from .fock import CodeBook, ModeConfig, _check_basis, codebook_size, dim_hilbert, sample_codebook
-from .linop import BLOCK_BYTES, UnitaryMatrix, haar_batch, output_distributions
+from .linop import BLOCK_BYTES, check_unitary, haar_batch, output_distributions
 from .mc import fan_out
 
 SHARD = 4096
@@ -31,9 +31,9 @@ SHARD = 4096
 #: ResourceError, exit 4.
 DEFAULT_BUDGET = 50_000_000
 
-#: Cap on K * max(m^2, 16): pool entries, floored for the per-key cost of small m.
-#: On 2 vCPUs a pool at the cap took 3.8 s and 280 MB peak RSS at m = 4, 1.8 s
-#: at m = 200 and 1.7 s at m = 1000; K = 10^6 at m = 1 took 11 s and 520 MB.
+#: Cap on K * max(m^2, 16): pool entries, with a floor of 16 per key.  On 2 vCPUs
+#: gen_unitary_pool at the cap took 1.0 s and 130 MB peak RSS at m = 4, 0.7 s at
+#: m = 200 and 2.0 s and 210 MB at m = 1000.
 POOL_CAP = 4_000_000
 
 LN2 = math.log(2.0)
@@ -97,29 +97,32 @@ class TrialSummary:
     records: Optional[tuple[TrialRecord, ...]] = None
 
 
-def gen_unitary_pool(
-    m: int, K: int, seed: Union[int, np.random.Generator]
-) -> tuple[UnitaryMatrix, ...]:
-    """K i.i.d. Haar unitaries, bitwise stable for a seed; refused above ``POOL_CAP``."""
+def gen_unitary_pool(m: int, K: int, seed: Union[int, np.random.Generator]) -> np.ndarray:
+    """K i.i.d. Haar unitaries as one read-only (K, m, m) array, bitwise stable for a
+    seed; refused above ``POOL_CAP`` before sampling, checked unitary after it."""
     if K < 1:
         raise DomainError(f"need K >= 1, got {K}")
     if K * max(m * m, 16) > POOL_CAP:
         raise ResourceError(f"pool of K = {K} unitaries of m = {m} modes exceeds cap {POOL_CAP}")
-    return tuple(UnitaryMatrix(u) for u in haar_batch(np.random.default_rng(seed), K, m))
+    pool = haar_batch(np.random.default_rng(seed), K, m)
+    check_unitary(pool)
+    pool.setflags(write=False)
+    return pool
 
 
 def decode_with_key(
     k: int,
-    pool: Sequence[UnitaryMatrix],
+    pool: np.ndarray,
     received: ModeConfig,
     codebook: CodeBook,
 ) -> DecodeResult:
-    """Bob's side: inverse unitary then photo-detection.
+    """Bob's side: inverse of pool unitary k, then photo-detection.
 
-    The inverse composes with the scrambler to the exact identity, so the
-    detected clicks are the surviving codeword modes.  With all n clicks
-    the message is recovered uniquely; with fewer, the result is the set
-    of codewords containing the detected sub-configuration.
+    The inverse composes with the scrambler to the exact identity, so of
+    the (K, m, m) pool array only ``len(pool)`` is read and the detected
+    clicks are the surviving codeword modes.  With all n clicks the message
+    is recovered uniquely; with fewer, the result is the set of codewords
+    containing the detected sub-configuration.
     """
     if not 0 <= k < len(pool):
         raise DomainError(f"key index {k} out of range [0, {len(pool)})")
@@ -169,7 +172,7 @@ def _run_shard(
     """Trials ``start .. start+count-1``, as array operations over the shard.
 
     ``occ`` is the (M, m) int8 codeword occupancy matrix and ``units`` the
-    (K, m, m) stack of pool unitaries, both built once by ``run_trials``.
+    (K, m, m) pool array of ``gen_unitary_pool``, both built once by ``run_trials``.
     The shard's stream ``[seed, 3, shard_idx]`` draws messages, keys,
     blind uniforms and loss masks, in that order.  Keyed decoding counts
     the codewords that hold every detected photon, for blocks of trials of
@@ -257,8 +260,8 @@ def run_trials(
 ) -> TrialSummary:
     """Simulate the protocol and report empirical diagnostics.
 
-    The codebook (stream ``[seed, 2]``) and the K-unitary pool (stream
-    ``[seed, 1]``) are sampled once and handed to every shard as arrays.
+    The codebook (stream ``[seed, 2]``) and the (K, m, m) ``gen_unitary_pool``
+    array (stream ``[seed, 1]``) are sampled once and handed to every shard.
     Trials are sharded by index (``SHARD`` per shard) with per-shard RNG
     streams, and ``mc.fan_out`` maps the shards over ``workers``
     processes, so the transcript is identical for any worker count.  Each
@@ -279,10 +282,9 @@ def run_trials(
         )
     codebook_size(config.m, config.n, config.xi)
     _check_basis(config.m, config.n)
-    pool = gen_unitary_pool(config.m, config.K, np.random.default_rng([config.seed, 1]))
+    units = gen_unitary_pool(config.m, config.K, np.random.default_rng([config.seed, 1]))
     codebook = sample_codebook(config.m, config.n, config.xi, np.random.default_rng([config.seed, 2]))
     occ = np.array([cw.occupations for cw in codebook.codewords], dtype=np.int8)
-    units = np.stack([u.entries for u in pool])
     M = len(occ)
     shards = [
         (config, occ, units, idx, start, min(SHARD, config.trials - start), collect_records)

@@ -6,16 +6,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import lossy_mi_bruteforce
+from oracles import exact_two_gamma, lossy_mi_bruteforce
 from qdl_lab.bounds import (
-    SecurityParams,
     check_rate_sweep,
     failure_prob_bounds,
     k_epsilon_multi,
     k_epsilon_single,
     key_consumption_rate,
     mutual_info_lossy,
-    net_rate,
     rate_loss_curve,
 )
 from qdl_lab.errors import DomainError, ResourceError
@@ -23,25 +21,6 @@ from qdl_lab.fock import dim_hilbert, log2_num_codewords, num_codewords
 from qdl_lab.mc import log2_conjectured_c_min, no_collision_values
 
 LN2 = math.log(2.0)
-
-
-class TestSecurityParams:
-    def test_valid(self):
-        SecurityParams(epsilon=0.1, xi=0.5, beta=0.9, eta=0.7)
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            dict(epsilon=0.0),
-            dict(epsilon=1.0),
-            dict(epsilon=0.1, xi=0.0),
-            dict(epsilon=0.1, beta=1.5),
-            dict(epsilon=0.1, eta=-0.2),
-        ],
-    )
-    def test_invalid(self, kwargs):
-        with pytest.raises(DomainError):
-            SecurityParams(**kwargs)
 
 
 class TestKeySizeSingle:
@@ -224,18 +203,19 @@ class TestLossyMutualInfo:
 
 
 class TestNetRate:
-    def test_composition_30_10(self):
-        r = net_rate(30, 10, 1.0, 1.0, 111.5, log2_c_min=log2_conjectured_c_min(30, 10))
-        assert r == pytest.approx(24.84 - 11.2, abs=0.15)
+    """Net rates beta * I - k, as rate_loss_curve maximises them over n."""
 
     def test_beta_zero(self):
-        r = net_rate(10, 3, 0.8, 0.0, 7.0, log2_c_min=log2_conjectured_c_min(10, 3))
-        assert r == pytest.approx(-key_consumption_rate(7.0, 10, 3, log2_c_min=log2_conjectured_c_min(10, 3)))
-        assert r <= 0
+        # with no information credit the best n is the one whose key is cheapest
+        def k(n):
+            gamma = 2.0 if n == 1 else exact_two_gamma(10, n, (n,))
+            return key_consumption_rate(gamma, 10, n, log2_c_min=log2_conjectured_c_min(10, n))
+
+        (p,) = rate_loss_curve(10, [0.8], beta=0.0, n_max=3)
+        assert p.rate == -min(k(n) for n in (1, 2, 3)) <= 0
 
     def test_monotone_in_eta(self):
-        l2c = log2_conjectured_c_min(8, 3)
-        vals = [net_rate(8, 3, e, 1.0, 8.0, log2_c_min=l2c) for e in np.linspace(0, 1, 21)]
+        vals = [p.rate for p in rate_loss_curve(8, np.linspace(0, 1, 21), n_max=3)]
         assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
 
 
@@ -248,14 +228,21 @@ class TestRateLossCurve:
         assert all(p.rate == pytest.approx(p.rate_per_mode * 10) for p in curve)
 
     def test_rate_uses_exact_bunched_gamma(self):
-        from oracles import exact_two_gamma
-
         # at eta = 1 the net rate of the winning n is log2 C minus its consumption
         (point,) = rate_loss_curve(30, [1.0])
         n = point.best_n
         gamma = exact_two_gamma(30, n, (n,))
         k = key_consumption_rate(gamma, 30, n, log2_c_min=log2_conjectured_c_min(30, n))
         assert point.rate == log2_num_codewords(30, n) - k
+
+    def test_rate_is_net_of_consumption(self):
+        # each point's rate is beta * I(eta) - k at its best n, k from the exact bunched gamma
+        beta = 0.8
+        for p in rate_loss_curve(12, [0.5, 0.9], beta=beta, n_max=6):
+            n = p.best_n
+            gamma = 2.0 if n == 1 else exact_two_gamma(12, n, (n,))
+            k = key_consumption_rate(gamma, 12, n, log2_c_min=log2_conjectured_c_min(12, n))
+            assert p.rate == beta * mutual_info_lossy(12, n, p.eta) - k
 
     def test_sweep_cap(self):
         # n = 1029 at one eta is the largest sweep admitted, and the last n

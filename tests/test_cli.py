@@ -86,6 +86,25 @@ class TestEstimate:
         assert "valid patterns" in err and "1-1" in err
 
 
+    @pytest.mark.parametrize("workers", ["1", "2"], ids=["w1", "w2"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["gamma", "1000000", "2", "--pattern", "1-1"], ["c", "3000000", "1"]],
+        ids=["gamma-m1e6-n2", "c-m3e6-n1"],
+    )
+    def test_frame_cap_exit_code(self, tmp_path, capsys, argv, workers):
+        # 1000 frames of 2e6 or 3e6 entries, 32 GB and 48 GB: refused before any draw
+        start = time.perf_counter()
+        code, _, err = run_cli(
+            ["estimate", *argv, "--samples", "1000", "--seed", "1", "--workers", workers,
+             "--cache", str(tmp_path / "c.csv")],
+            capsys,
+        )
+        assert code == 4
+        assert "resource cap" in err and "frames" in err
+        assert time.perf_counter() - start < 1.0
+
+
 class TestKeysize:
     def test_worked_example_text(self, capsys):
         code, out, _ = run_cli(
@@ -388,6 +407,23 @@ class TestWorkers:
         )
         assert code == 2
         assert "--workers" in err
+
+
+class TestCommandOptions:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["dim", "3", "2", "--samples", "5"],
+            ["keysize", "10", "3", "--eps", "0.1", "--workers", "2"],
+            ["simulate", "4", "2", "--accept-long"],
+        ],
+        ids=["dim-samples", "keysize-workers", "simulate-accept-long"],
+    )
+    def test_option_of_another_command_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestGolden:

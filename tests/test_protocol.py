@@ -9,8 +9,15 @@ from hypothesis import strategies as st
 from qdl_lab import protocol
 from qdl_lab.bounds import mutual_info_lossy
 from qdl_lab.errors import DomainError, ResourceError
-from qdl_lab.fock import CodeBook, ModeConfig, dim_hilbert, num_codewords, rank, sample_codebook
-from qdl_lab.linop import UnitaryMatrix, output_distribution
+from qdl_lab.fock import (
+    CodeBook,
+    ModeConfig,
+    dim_hilbert,
+    enumerate_basis,
+    num_codewords,
+    sample_codebook,
+)
+from qdl_lab.linop import UnitaryMatrix, haar_batch, output_distribution
 from qdl_lab.protocol import (
     ProtocolConfig,
     TrialRecord,
@@ -24,29 +31,39 @@ from qdl_lab.protocol import (
 class TestPool:
     def test_deterministic(self):
         a = gen_unitary_pool(4, 3, seed=9)
-        b = gen_unitary_pool(4, 3, seed=9)
-        assert all(np.array_equal(x.entries, y.entries) for x, y in zip(a, b))
+        assert np.array_equal(a, gen_unitary_pool(4, 3, seed=9))
+        # the read-only Haar batch of the seed's stream, bit for bit
+        assert a.dtype == complex and not a.flags.writeable
+        assert np.array_equal(a, haar_batch(np.random.default_rng(9), 3, 4))
 
     def test_single_member(self):
-        (u,) = gen_unitary_pool(5, 1, seed=0)
-        assert u.m == 5
+        assert gen_unitary_pool(5, 1, seed=0).shape == (1, 5, 5)
 
     def test_distinct_seeds_differ(self):
         a = gen_unitary_pool(4, 2, seed=1)
         b = gen_unitary_pool(4, 2, seed=2)
-        for x, y in zip(a, b):
-            assert np.abs(x.entries - y.entries).max() > 1e-6
+        assert (np.abs(a - b).max(axis=(1, 2)) > 1e-6).all()
 
     def test_unitarity(self):
         for u in gen_unitary_pool(6, 8, seed=3):
-            dev = np.abs(u.entries.conj().T @ u.entries - np.eye(6)).max()
+            dev = np.abs(u.conj().T @ u - np.eye(6)).max()
             assert dev <= 1e-12
+
+    def test_rejects_nonunitary_batch(self, monkeypatch):
+        def skewed(rng, count, m):
+            pool = haar_batch(rng, count, m)
+            pool[-1, 0, 0] *= 1 + 1e-9
+            return pool
+
+        monkeypatch.setattr(protocol, "haar_batch", skewed)
+        with pytest.raises(DomainError, match="not unitary"):
+            gen_unitary_pool(4, 3, seed=9)
 
     def test_cap(self, monkeypatch):
         # K * max(m^2, 16): the floor prices small-m keys
         monkeypatch.setattr(protocol, "POOL_CAP", 36 * 8)
-        assert len(gen_unitary_pool(6, 8, seed=3)) == 8
-        assert len(gen_unitary_pool(2, 18, seed=3)) == 18
+        assert gen_unitary_pool(6, 8, seed=3).shape == (8, 6, 6)
+        assert gen_unitary_pool(2, 18, seed=3).shape == (18, 2, 2)
         for m, K in [(6, 9), (2, 19)]:
             with pytest.raises(ResourceError):
                 gen_unitary_pool(m, K, seed=3)
@@ -118,16 +135,16 @@ class TestEavesdrop:
         xs = np.arange(len(cb))
         u = np.random.default_rng(0).random(len(cb))
         z = protocol._photodetect(np.eye(4)[None], _modes(cb), xs, np.zeros_like(xs), u)
-        assert z.tolist() == [rank(cw) for cw in cb.codewords]
+        assert z.tolist() == [enumerate_basis(4, 2).index(cw) for cw in cb.codewords]
 
     def test_outcome_frequencies(self):
         cb = sample_codebook(3, 1, 1.0, rng=0)
         pool = gen_unitary_pool(3, 1, seed=8)
-        dist = output_distribution(pool[0], cb[0])
+        dist = output_distribution(UnitaryMatrix(pool[0]), cb[0])
         trials = 100_000
         xs = np.zeros(trials, dtype=np.intp)
         u = np.random.default_rng(1).random(trials)
-        z = protocol._photodetect(pool[0].entries[None], _modes(cb), xs, xs, u)
+        z = protocol._photodetect(pool[:1], _modes(cb), xs, xs, u)
         counts = np.bincount(z, minlength=len(dist))
         for i, p in enumerate(dist):
             se = math.sqrt(trials * p * (1 - p)) + 1e-9
@@ -135,7 +152,7 @@ class TestEavesdrop:
 
     def test_outcome_valid_config(self):
         cb = sample_codebook(5, 2, 1.0, rng=0)
-        units = np.stack([u.entries for u in gen_unitary_pool(5, 2, seed=9)])
+        units = gen_unitary_pool(5, 2, seed=9)
         rng = np.random.default_rng(2)
         xs, ks, u = rng.integers(0, len(cb), 50), rng.integers(0, 2, 50), rng.random(50)
         z = protocol._photodetect(units, _modes(cb), xs, ks, u)
@@ -248,9 +265,8 @@ def _stream(*entropy):
 def _shard_args(config, collect):
     """The shard arguments run_trials builds, with the codebook and pool streams spelled out."""
     codebook = sample_codebook(config.m, config.n, config.xi, _stream(config.seed, 2))
-    pool = gen_unitary_pool(config.m, config.K, _stream(config.seed, 1))
+    units = gen_unitary_pool(config.m, config.K, _stream(config.seed, 1))
     occ = np.array([cw.occupations for cw in codebook.codewords], dtype=np.int8)
-    units = np.stack([u.entries for u in pool])
     for idx, start in enumerate(range(0, config.trials, protocol.SHARD)):
         count = min(protocol.SHARD, config.trials - start)
         yield config, occ, units, idx, start, count, collect
