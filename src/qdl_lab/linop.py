@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -30,8 +30,9 @@ UNITARITY_TOL = 1e-12
 #: blocks and 37-41 ms with 64 KB or 1 MB blocks.
 BLOCK_BYTES = 1 << 18
 
-#: Largest frame batch stiefel_batch draws, count * m * ncols * 16 bytes.  On 2
-#: vCPUs a batch at the cap took 2.3 s and 800 MB peak RSS at (count, m, ncols) =
+#: Largest frame batch stiefel_batch draws, count * height * ncols * 16 bytes
+#: (height is m, or rows + ncols on its truncated path).  On 2 vCPUs a full
+#: batch at the cap took 2.3 s and 800 MB peak RSS at (count, m, ncols) =
 #: (4096, 8192, 1), 2.5 s at (4096, 2048, 4) and 6.4 s at (2048, 128, 128).
 FRAME_CAP_BYTES = 1 << 29
 
@@ -85,29 +86,51 @@ def haar_batch(rng: np.random.Generator, count: int, m: int) -> np.ndarray:
     return stiefel_batch(rng, count, m, m)
 
 
-def stiefel_batch(rng: np.random.Generator, count: int, m: int, ncols: int) -> np.ndarray:
-    """Haar-distributed orthonormal m-by-ncols frames, shape (count, m, ncols).
+def stiefel_batch(
+    rng: np.random.Generator, count: int, m: int, ncols: int, rows: Optional[int] = None
+) -> np.ndarray:
+    """Top ``rows`` rows (default m) of Haar m-by-ncols frames, shape (count, rows, ncols).
 
-    The result is distributed as the first ``ncols`` columns of a Haar
-    unitary; sampling only the needed columns keeps the Monte Carlo
-    estimators cheap at large m.  Above ``FRAME_CAP_BYTES`` it raises ResourceError.
+    The result is distributed as those rows of the first ``ncols`` columns
+    of a Haar unitary.  When ``m - rows > ncols`` only ``height = rows +
+    ncols`` rows are drawn: QR's R depends on the bottom m - rows rows only
+    through their Gram matrix, a complex Wishart_ncols(m - rows), so they
+    are replaced by its Bartlett factor B, upper triangular with B_ii =
+    sqrt(2 Gamma(m - rows - i)) and N(0,1) + iN(0,1) entries above the
+    diagonal, the Gaussians' own scale (Mezzadri, Notices AMS 54, 2007).
+    Otherwise ``height = m``.  Draw order: the real, then the imaginary
+    parts of the (count, height, ncols) stack, then on the truncated path
+    the (count, ncols) gamma variates of B's diagonal; B's lower triangle
+    is zeroed.  So ``haar_batch`` keeps the full frame's draws.  Drawn
+    entries above ``FRAME_CAP_BYTES`` raise ResourceError before any draw.
     """
-    if not 1 <= ncols <= m:
-        raise DomainError(f"need 1 <= ncols <= m, got ncols={ncols}, m={m}")
-    if 16 * count * m * ncols > FRAME_CAP_BYTES:  # before any draw
-        raise ResourceError(f"{count} frames of {m} x {ncols} exceed the {FRAME_CAP_BYTES}-byte cap")
-    g = np.empty((count, m, ncols), dtype=complex)
-    g.real = rng.standard_normal((count, m, ncols))
-    g.imag = rng.standard_normal((count, m, ncols))
+    rows = m if rows is None else rows
+    if not (1 <= ncols <= m and 1 <= rows <= m):
+        raise DomainError(f"need 1 <= ncols, rows <= m, got ncols={ncols}, rows={rows}, m={m}")
+    tail = m - rows
+    height = rows + ncols if tail > ncols else m
+    if 16 * count * height * ncols > FRAME_CAP_BYTES:  # before any draw
+        raise ResourceError(
+            f"{count} frames of {height} x {ncols} drawn entries exceed the {FRAME_CAP_BYTES}-byte cap"
+        )
+    g = np.empty((count, height, ncols), dtype=complex)
+    g.real = rng.standard_normal((count, height, ncols))
+    g.imag = rng.standard_normal((count, height, ncols))
+    if height < m:  # Bartlett factor of the bottom rows' Gram matrix
+        diag = np.arange(ncols)
+        bartlett = g[:, rows:]
+        bartlett[:, diag, diag] = np.sqrt(2.0 * rng.standard_gamma(tail - diag, size=(count, ncols)))
+        below = np.tril_indices(ncols, -1)
+        bartlett[:, below[0], below[1]] = 0.0
     # LAPACK factors one matrix at a time, so blocking changes no bit of q;
     # each block's factors are written back over its Gaussians
-    step = max(1, BLOCK_BYTES // (16 * m * ncols))
+    step = max(1, BLOCK_BYTES // (16 * height * ncols))
     for s in range(0, count, step):
         q, r = np.linalg.qr(g[s:s + step])
         d = np.einsum("...ii->...i", r)
         q *= (d / np.abs(d))[:, None, :]
         g[s:s + step] = q
-    return g
+    return g[:, :rows]
 
 
 def permanent(a: np.ndarray) -> complex:
@@ -121,10 +144,7 @@ def permanent(a: np.ndarray) -> complex:
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DomainError(f"permanent needs a square matrix, got shape {a.shape}")
-    k = a.shape[0]
-    if k > PERMANENT_CAP:
-        raise DomainError(f"matrix size {k} exceeds permanent cap {PERMANENT_CAP}")
-    if k == 0:
+    if a.shape[0] == 0:
         return 1.0 + 0.0j
     return complex(_permanent_batch(a[None, :, :])[0])
 
@@ -134,9 +154,12 @@ def _permanent_batch(a: np.ndarray) -> np.ndarray:
 
     perm(A) = 2^-(k-1) sum_delta (prod_i delta_i) prod_j sum_i delta_i a_ij
     over sign vectors with delta_0 = +1.  Column sums live in a contiguous
-    (k, b) array and each Gray-code step flips one row's sign.
+    (k, b) array and each Gray-code step flips one row's sign.  k above
+    ``PERMANENT_CAP`` raises DomainError before any work.
     """
     b, k, _ = a.shape
+    if k > PERMANENT_CAP:
+        raise DomainError(f"matrix size {k} exceeds permanent cap {PERMANENT_CAP}")
     rows = np.transpose(a, (1, 2, 0)).astype(complex, order="C")  # (row, col, b) copy
     col_sums = rows.sum(axis=0)
     rows *= 2.0

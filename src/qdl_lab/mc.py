@@ -5,6 +5,9 @@ For a fixed single-occupancy codeword psi = |1,...,1,0,...,0> and a
 representative phi_q carrying pattern q on the leading modes, the
 estimators accumulate X = |<phi_q| U |psi>|^2 over Haar draws of U.
 c_q is E[X]; the tables' convention "2 gamma_q" is 2 E[X^2] / E[X]^2.
+X depends only on the top n rows of U's first columns, so no draw grows
+with m (Mezzadri, Notices AMS 54, 2007; Zyczkowski & Sommers, J. Phys. A
+33, 2045, 2000).
 
 Samples are accumulated in fixed 4096-sample chunks whose RNG streams
 derive from (seed, chunk index), and chunk sums are combined in index
@@ -18,6 +21,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
@@ -86,20 +90,37 @@ def fan_out(fn: Callable, tasks: Sequence, workers: int) -> list:
 
 
 def _chunk_power_sums(args: tuple[int, int, tuple[int, ...], int, int, int]) -> np.ndarray:
-    """Power sums (sum X, sum X^2, sum X^3, sum X^4) for one chunk."""
+    """Power sums (sum Y, sum Y^2, sum Y^3, sum Y^4) for one chunk.
+
+    Y is X for patterns with several parts, from the top n rows of Haar
+    frames.  For the bunched pattern q = (n), X = n! prod_{i<n} |U_i1|^2 =
+    T^n Y with T = sum_{i<n} |U_i1|^2 ~ Beta(n, m - n) independent of the
+    direction V = |U_i1|^2 / T ~ Dirichlet(1^n), and Y = n! prod V_i; V is
+    drawn as n normalised standard exponentials per sample, and
+    ``estimate_moments`` scales by the exact moments of T.
+    """
     m, n, parts, seed, chunk_idx, count = args
     # spawn_key form: no list entropy gives this stream once seed >= 2**32
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(chunk_idx,)))
     ncols = len(parts)
-    frame = stiefel_batch(rng, count, m, ncols)
     if ncols == 1:
-        # fully bunched pattern: the permanent of the repeated-column
-        # submatrix collapses to n! times a product of column entries
-        x = np.prod(np.abs(frame[:, :n, 0]) ** 2, axis=1) * math.factorial(n)
+        e = rng.standard_exponential((count, n))
+        y = np.prod(n * e / e.sum(axis=1, keepdims=True), axis=1) * (math.factorial(n) / n**n)
     else:
-        a = frame[:, :n, :][:, :, np.repeat(np.arange(ncols), parts)]
-        x = np.abs(_permanent_batch(a)) ** 2 / PhotonPattern(parts).norm_factor()
-    return np.array([x.sum(), (x**2).sum(), (x**3).sum(), (x**4).sum()])
+        frame = stiefel_batch(rng, count, m, ncols, rows=n)
+        a = frame[:, :, np.repeat(np.arange(ncols), parts)]
+        y = np.abs(_permanent_batch(a)) ** 2 / PhotonPattern(parts).norm_factor()
+    return np.array([y.sum(), (y**2).sum(), (y**3).sum(), (y**4).sum()])
+
+
+def _radial_moments(m: int, n: int, q: PhotonPattern) -> tuple[Fraction, Fraction]:
+    """(E[T^n], E[T^2n]) of the radius T by which X = T^n Y; T = 1 unless q = (n).
+
+    E[T^r] = n (n+1) ... (n+r-1) / (m (m+1) ... (m+r-1)) for T ~ Beta(n, m - n).
+    """
+    if len(q.parts) > 1:
+        return Fraction(1), Fraction(1)
+    return tuple(Fraction(math.perm(n + r - 1, r), math.perm(m + r - 1, r)) for r in (n, 2 * n))
 
 
 def _validate(m: int, n: int, q: PhotonPattern, samples: int) -> None:
@@ -126,10 +147,15 @@ def estimate_moments(
     The samples are cut into ``CHUNK``-sized chunks, each with its own
     stream, which ``fan_out`` maps over ``workers`` processes; their power
     sums are added in chunk order with compensation, so the result is
-    deterministic for a given seed regardless of ``workers``.  The ratio
-    standard error comes from first-order propagation with the sample
-    covariance of (X, X^2); a block bootstrap over chunk sums takes over
-    when the propagated estimate is degenerate.
+    deterministic for a given seed regardless of ``workers``.  The moments
+    and standard errors are computed for the sampled Y of
+    ``_chunk_power_sums`` and scaled exactly to X = T^n Y: the mean and its
+    stderr by E[T^n], the second moment by E[T^2n] and the ratio's stderr
+    by E[T^2n] / E[T^n]^2.  So the bunched estimate is unbiased with Y <=
+    n!/n^n bounding its tail, and at n = 1 it is exact with stderr 0.  The
+    ratio standard error comes from first-order propagation with the
+    sample covariance of (Y, Y^2); a block bootstrap over chunk sums takes
+    over when the propagated estimate is degenerate.
     """
     q = as_pattern(q)
     _validate(m, n, q, samples)
@@ -142,6 +168,10 @@ def estimate_moments(
     s += comp
     nN = float(samples)
     m1, m2, m3, m4 = (float(v) for v in s / nN)
+    t1, t2 = _radial_moments(m, n, q)
+    mean, second_moment = m1 * float(t1), m2 * float(t2)
+    if not (mean > 0.0 and second_moment > 0.0):
+        raise DomainError(f"the moments of X at (m, n) = ({m}, {n}) underflow a float")
 
     var_x = max(m2 - m1**2, 0.0)
     stderr_mean = math.sqrt(var_x / nN)
@@ -155,10 +185,10 @@ def estimate_moments(
         stderr_ratio = _bootstrap_ratio_stderr(chunk_sums, sizes, seed)
 
     return MomentEstimate(
-        mean=m1,
-        second_moment=m2,
-        stderr_mean=stderr_mean,
-        stderr_ratio=stderr_ratio,
+        mean=mean,
+        second_moment=second_moment,
+        stderr_mean=stderr_mean * float(t1),
+        stderr_ratio=stderr_ratio * float(t2 / t1**2),
         samples=samples,
         seed=seed,
         m=m,

@@ -31,9 +31,10 @@ SHARD = 4096
 #: ResourceError, exit 4.
 DEFAULT_BUDGET = 50_000_000
 
-#: Cap on K * max(m^2, 16): pool entries, with a floor of 16 per key.  On 2 vCPUs
-#: gen_unitary_pool at the cap took 1.0 s and 130 MB peak RSS at m = 4, 0.7 s at
-#: m = 200 and 2.0 s and 210 MB at m = 1000.
+#: Cap on K * m^2, the pool's complex entries.  On 2 vCPUs gen_unitary_pool at
+#: the cap took 1.3-1.5 s and 129 MB peak RSS at m = 1 (K = 4 M), 0.9 s and
+#: 129 MB at m = 4, 0.9 s and 130 MB at m = 200 and 1.5-1.8 s and 209 MB at
+#: m = 1000.
 POOL_CAP = 4_000_000
 
 LN2 = math.log(2.0)
@@ -102,7 +103,7 @@ def gen_unitary_pool(m: int, K: int, seed: Union[int, np.random.Generator]) -> n
     seed; refused above ``POOL_CAP`` before sampling, checked unitary after it."""
     if K < 1:
         raise DomainError(f"need K >= 1, got {K}")
-    if K * max(m * m, 16) > POOL_CAP:
+    if K * m * m > POOL_CAP:
         raise ResourceError(f"pool of K = {K} unitaries of m = {m} modes exceeds cap {POOL_CAP}")
     pool = haar_batch(np.random.default_rng(seed), K, m)
     check_unitary(pool)

@@ -150,6 +150,35 @@ class TestHaar:
         with pytest.raises(DomainError):
             haar_unitary(0, 1)
 
+    # m - rows > ncols takes the Bartlett-compressed path; the others draw all m rows
+    @pytest.mark.parametrize("m,rows,ncols", [(12, 3, 2), (8, 4, 3), (7, 4, 3), (6, 5, 2)])
+    def test_top_block_haar_moments(self, m, rows, ncols):
+        samples = 100_000
+        q = stiefel_batch(np.random.default_rng(m * 100 + rows), samples, m, ncols, rows=rows)
+        assert q.shape == (samples, rows, ncols)
+        p = np.abs(q) ** 2
+        cases = [
+            (p[:, 0, 0], 1 / m),
+            (p[:, 0, 0] ** 2, 2 / (m * (m + 1))),
+            (p[:, 0, 0] * p[:, 1, 1], 1 / (m * m - 1)),
+            (p[:, 0, 0] * p[:, 0, 1], 1 / (m * (m + 1))),
+        ]
+        for x, exact in cases:
+            z = (x.mean() - exact) / (x.std() / math.sqrt(samples))
+            assert abs(z) <= 4
+
+    def test_full_path_top_rows_are_full_frame_rows(self):
+        # m - rows = 3 = ncols: all m rows are drawn, as for the whole frame
+        got = stiefel_batch(np.random.default_rng(4), 50, 7, 3, rows=4)
+        assert np.array_equal(got, stiefel_batch(np.random.default_rng(4), 50, 7, 3)[:, :4])
+
+    def test_frame_cap_counts_drawn_rows(self, monkeypatch):
+        # the truncated path draws rows + ncols = 5 rows of each 10**6-row frame
+        monkeypatch.setattr(linop, "FRAME_CAP_BYTES", 16 * 10 * 5 * 2)
+        assert stiefel_batch(np.random.default_rng(0), 10, 10**6, 2, rows=3).shape == (10, 3, 2)
+        with pytest.raises(ResourceError):
+            stiefel_batch(np.random.default_rng(0), 11, 10**6, 2, rows=3)
+
     def test_frame_cap_before_drawing(self, monkeypatch):
         monkeypatch.setattr(linop, "FRAME_CAP_BYTES", 16 * 10 * 6 * 2)
         assert stiefel_batch(np.random.default_rng(0), 10, 6, 2).shape == (10, 6, 2)
@@ -199,6 +228,11 @@ class TestTransitionAmplitude:
 
 
 class TestOutputDistribution:
+    def test_permanent_cap(self):
+        # 26 photons in one mode: the 27-point basis passes its caps, the kernel refuses
+        with pytest.raises(DomainError, match="permanent cap"):
+            output_distribution(UnitaryMatrix(np.eye(2)), ModeConfig((26, 0)))
+
     def test_identity_point_mass(self):
         u = UnitaryMatrix(np.eye(4))
         cfg = ModeConfig((1, 0, 1, 0))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from oracles import exact_mean, exact_second_moment, exact_two_gamma
-from qdl_lab import cache, exact
+from qdl_lab import cache, exact, mc
 from qdl_lab.errors import DomainError
 from qdl_lab.fock import PhotonPattern, dim_hilbert, enumerate_patterns
 from qdl_lab.mc import (
@@ -145,6 +145,37 @@ class TestGamma:
         # by comparing against the exact values at (7, 3)
         rec = estimate_gamma_q(7, 3, (3,), SAMPLES, seed=43)
         assert rec.two_gamma_q == pytest.approx(exact_two_gamma(7, 3, (3,)), rel=0.05)
+
+    @pytest.mark.parametrize("m", [1, 2, 7, 250])
+    def test_bunched_single_photon_exact(self, m):
+        # n = 1: Y = 1, so only the exact radial moments of |U_11|^2 remain
+        est = estimate_moments(m, 1, (1,), 2_000, seed=46)
+        assert est.mean == pytest.approx(1 / m, rel=1e-15)
+        assert est.second_moment == pytest.approx(2 / (m * (m + 1)), rel=1e-15)
+        assert est.stderr_mean == 0.0 and est.stderr_ratio == 0.0
+        assert 2 * est.ratio == pytest.approx(exact.two_gamma(m, (1,)), rel=1e-14)
+
+    @pytest.mark.parametrize("m,n", [(250, 4), (7, 3)])
+    def test_bunched_two_gamma_within_stderr(self, m, n):
+        rec = estimate_gamma_q(m, n, (n,), SAMPLES, seed=47)
+        assert rec.two_gamma_q == pytest.approx(exact.two_gamma(m, (n,)), abs=4 * rec.stderr)
+
+    def test_bunched_draws_no_frame(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the bunched pattern drew a frame")
+
+        monkeypatch.setattr(mc, "stiefel_batch", refuse)
+        assert estimate_moments(250, 4, (4,), 5_000, seed=48).mean > 0
+
+    def test_bunched_underflow_refused(self):
+        # E[X^2] ~ 1e-500 at (10^6, 40): a DomainError, not a 0/0 ratio
+        with pytest.raises(DomainError, match="underflow"):
+            estimate_moments(10**6, 40, (40,), 1_000, seed=50)
+
+    def test_permanent_cap(self):
+        # 26 rows exceed linop.PERMANENT_CAP: refused, not a 2^25-step walk per sample
+        with pytest.raises(DomainError, match="permanent cap"):
+            estimate_moments(27, 26, (2,) + (1,) * 24, 1_000, seed=49)
 
     def test_jensen_floor(self):
         for q in enumerate_patterns(5, 3):

@@ -60,11 +60,12 @@ class TestPool:
             gen_unitary_pool(4, 3, seed=9)
 
     def test_cap(self, monkeypatch):
-        # K * max(m^2, 16): the floor prices small-m keys
+        # K * m^2 pool entries, with no floor per key
         monkeypatch.setattr(protocol, "POOL_CAP", 36 * 8)
         assert gen_unitary_pool(6, 8, seed=3).shape == (8, 6, 6)
-        assert gen_unitary_pool(2, 18, seed=3).shape == (18, 2, 2)
-        for m, K in [(6, 9), (2, 19)]:
+        assert gen_unitary_pool(2, 72, seed=3).shape == (72, 2, 2)
+        assert gen_unitary_pool(1, 288, seed=3).shape == (288, 1, 1)
+        for m, K in [(6, 9), (2, 73), (1, 289)]:
             with pytest.raises(ResourceError):
                 gen_unitary_pool(m, K, seed=3)
 
