@@ -275,7 +275,7 @@ def rate_loss_curve(
 
     gamma is the exact 2*gamma_q of the bunched pattern (the conjectured
     maximiser, ``exact.two_gamma(m, (n,))``); n = 1 uses the exact
-    single-photon value 2.  c_min is the conjectured 1/d.
+    single-photon value 2.  c_min is the exact 1/d.
     """
     if m < 1:
         raise DomainError(f"need m >= 1, got {m}")

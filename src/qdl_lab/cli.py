@@ -5,8 +5,7 @@ output is CSV (stdout or --out) with a version header line
 ``# qdl-lab v<semver> cmd=<name> seed=<seed>``; human diagnostics go to
 stderr.  Every command honours --seed for byte-identical output across
 runs and worker counts.  --seed, --out and --config are shared;
---workers is taken by estimate, simulate and tables, --samples by
-estimate and tables, and --accept-long by tables.
+--workers is taken by estimate and simulate, and --samples by estimate.
 
 Exit codes: 0 success, 2 usage error, 4 resource cap.
 """
@@ -18,7 +17,7 @@ import math
 import os
 import secrets
 import sys
-import time
+from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -26,6 +25,7 @@ from . import __version__, bounds, cache, exact, mc, protocol, reference
 from .errors import DomainError, ResourceError
 from .fock import (
     PhotonPattern,
+    count_patterns,
     dim_hilbert,
     enumerate_patterns,
     log2_dim_hilbert,
@@ -34,8 +34,6 @@ from .fock import (
 )
 from .mc import DEFAULT_C_SAMPLES, DEFAULT_GAMMA_SAMPLES
 from .svg import line_chart
-
-LONG_RUN_SECONDS = 60.0
 
 
 def _msg(text: str) -> None:
@@ -77,13 +75,6 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _samples(args: argparse.Namespace, default: int) -> int:
-    samples = default if args.samples is None else args.samples
-    if samples < mc.MIN_SAMPLES:
-        raise DomainError(f"need --samples >= {mc.MIN_SAMPLES}, got {samples}")
-    return samples
-
-
 def _chart(svg: Optional[str], out: Optional[str], series, x_label: str, y_label: str) -> None:
     """Write an SVG chart to ``svg``, or beside a file ``out`` with its stem."""
     if svg is None and out not in (None, "-"):
@@ -99,7 +90,7 @@ _FLAG_WORDS = {"1": True, "true": True, "yes": True, "on": True,
 
 def _config_value(action: argparse.Action, value: str):
     """Type one config value the way its command-line option would be."""
-    if action.nargs == 0:  # an on/off flag such as --accept-long
+    if action.nargs == 0:  # an on/off flag such as --fig2
         if value.lower() not in _FLAG_WORDS:
             raise ValueError(f"expected one of {', '.join(_FLAG_WORDS)}, got {value!r}")
         return _FLAG_WORDS[value.lower()]
@@ -152,8 +143,6 @@ def _build_parser() -> tuple[
     common.add_argument("--config", default=None, help="flat key=value config file")
     workers = argparse.ArgumentParser(add_help=False)
     opt(workers, "--workers", type=int, default=1, help="worker processes; 0 = auto")
-    samples = argparse.ArgumentParser(add_help=False)
-    opt(samples, "--samples", type=int, default=None, help="Monte Carlo sample count override")
 
     parser = argparse.ArgumentParser(prog="qdl-lab", description=__doc__)
     parser.add_argument("--version", action="version", version=f"qdl-lab {__version__}")
@@ -163,10 +152,11 @@ def _build_parser() -> tuple[
     p.add_argument("m", type=int)
     p.add_argument("n", type=int)
 
-    p = sub.add_parser("estimate", parents=[common, workers, samples], help="Monte Carlo c_q / gamma_q estimation")
+    p = sub.add_parser("estimate", parents=[common, workers], help="Monte Carlo c_q / gamma_q estimation")
     p.add_argument("kind", choices=["c", "gamma"])
     p.add_argument("m", type=int)
     p.add_argument("n", type=int)
+    opt(p, "--samples", type=int, default=None, help="Monte Carlo sample count override")
     group = p.add_mutually_exclusive_group()
     opt(group, "--pattern", default=None, help="dash-joined pattern, e.g. 2-1")
     opt(group, "--all-patterns", action="store_true", help="estimate every pattern of (m, n); the default")
@@ -202,9 +192,8 @@ def _build_parser() -> tuple[
     opt(p, "--trials", type=int, default=10_000)
     opt(p, "--transcript", default=None, help="write per-trial transcript CSV here")
 
-    p = sub.add_parser("tables", parents=[common, workers, samples], help="re-estimate a published table")
+    p = sub.add_parser("tables", parents=[common], help="exact values beside a published table")
     p.add_argument("which", choices=["I", "II", "III", "IV", "V"])
-    opt(p, "--accept-long", action="store_true", help="acknowledge long-running estimations")
 
     return parser, sub.choices, options
 
@@ -232,23 +221,27 @@ def cmd_dim(args: argparse.Namespace) -> int:
         _fmt(log2_dim_hilbert(m, n)),
         num_codewords(m, n) if n <= m else 0,
         _fmt(log2_num_codewords(m, n)) if n <= m else "",
-        len(enumerate_patterns(m, n)),
+        count_patterns(m, n),
     ]]
     _write_csv(args.out, "dim", seed, ["m", "n", "d", "log2_d", "C", "log2_C", "patterns"], rows)
     return 0
 
 
 def _patterns_for(args: argparse.Namespace) -> list[PhotonPattern]:
-    all_q = enumerate_patterns(args.m, args.n)
+    m, n = args.m, args.n
     if args.pattern is None:
-        return all_q  # default to the full pattern set
-    valid = ", ".join(q.label() for q in all_q)
+        return enumerate_patterns(m, n)  # default to the full pattern set
+    ones = "-".join(["1"] * n) if n <= 10 else f"1-1-...-1 ({n} ones)"
+    valid = (
+        f"valid patterns: non-increasing positive parts summing to n={n}, at most m={m} "
+        f"of them, from {n} to {ones}"
+    )
     try:
         q = PhotonPattern.from_label(args.pattern)
     except DomainError:
-        raise DomainError(f"cannot parse pattern {args.pattern!r}; valid patterns: {valid}")
-    if q.parts not in {p.parts for p in all_q}:
-        raise DomainError(f"{args.pattern!r} is not a pattern of n={args.n}; valid patterns: {valid}")
+        raise DomainError(f"cannot parse pattern {args.pattern!r}; {valid}")
+    if q.n != n or len(q.parts) > m:
+        raise DomainError(f"{args.pattern!r} is not a pattern of (m, n) = ({m}, {n}); {valid}")
     return [q]
 
 
@@ -258,7 +251,11 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     if args.n > args.m:
         raise DomainError(f"need n <= m, got ({args.m}, {args.n})")
     patterns = _patterns_for(args)
-    samples = _samples(args, DEFAULT_C_SAMPLES if args.kind == "c" else DEFAULT_GAMMA_SAMPLES)
+    samples = args.samples
+    if samples is None:
+        samples = DEFAULT_C_SAMPLES if args.kind == "c" else DEFAULT_GAMMA_SAMPLES
+    if samples < mc.MIN_SAMPLES:
+        raise DomainError(f"need --samples >= {mc.MIN_SAMPLES}, got {samples}")
     cache_rows = []
     for q in patterns:
         est = mc.estimate_moments(args.m, args.n, q, samples, seed, workers)
@@ -419,55 +416,19 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _table_entries(which: str) -> list[tuple[int, int, PhotonPattern, float]]:
-    if which == "I":
-        src = reference.TABLE_I
-    else:
-        src = reference.gamma_tables()[which]
-    out = []
-    for (m, n), patterns in sorted(src.items()):
-        for parts, value in patterns.items():
-            out.append((m, n, PhotonPattern(parts), value))
-    return out
-
-
 def cmd_tables(args: argparse.Namespace) -> int:
-    seed = _resolve_seed(args)
-    workers = _resolve_workers(args)
-    entries = _table_entries(args.which)
-    samples = _samples(args, DEFAULT_C_SAMPLES if args.which == "I" else DEFAULT_GAMMA_SAMPLES)
-
-    pilot_t = time.perf_counter()
-    for m, n, q, _ in entries:
-        mc.estimate_moments(m, n, q, mc.MIN_SAMPLES, seed, workers=1)
-    pilot = time.perf_counter() - pilot_t
-    eta_seconds = pilot * samples / mc.MIN_SAMPLES
-    _msg(f"estimated runtime ~{eta_seconds:.0f} s for table {args.which} at {samples} samples")
-    if eta_seconds > LONG_RUN_SECONDS and not args.accept_long:
-        raise DomainError(
-            f"table {args.which} needs ~{eta_seconds:.0f} s; rerun with --accept-long "
-            "(or lower --samples)"
-        )
-
+    seed = args.seed if args.seed is not None else 0
+    table = reference.TABLE_I if args.which == "I" else reference.gamma_tables()[args.which]
     rows = []
-    if args.which == "I":
-        header = ["m", "n", "q", "c", "stderr_c", "raw_c", "stderr_raw", "published"]
-        for m, n, q, published in entries:
-            est = mc.estimate_moments(m, n, q, samples, seed, workers)
-            fac = q.norm_factor()
-            rows.append(
-                [m, n, q.label(), _fmt(est.mean), _fmt(est.stderr_mean),
-                 _fmt(fac * est.mean), _fmt(fac * est.stderr_mean), _fmt(published)]
-            )
-    else:
-        header = ["m", "n", "q", "two_gamma", "stderr", "published", "dev_sigma"]
-        for m, n, q, published in entries:
-            rec = mc.estimate_gamma_q(m, n, q, samples, seed, workers)
-            dev = (rec.two_gamma_q - published) / rec.stderr if rec.stderr else float("inf")
-            rows.append(
-                [m, n, q.label(), _fmt(rec.two_gamma_q), _fmt(rec.stderr), _fmt(published), _fmt(dev)]
-            )
-    _write_csv(args.out, "tables", seed, header, rows)
+    for (m, n), patterns in sorted(table.items()):
+        for parts, published in patterns.items():
+            q = PhotonPattern(parts)
+            if args.which == "I":  # table I publishes the raw coefficient (prod q_j!) c_q, c_q = 1/d
+                value = float(Fraction(q.norm_factor(), dim_hilbert(m, n)))
+            else:
+                value = exact.two_gamma(m, q)
+            rows.append([m, n, q.label(), _fmt(value), _fmt(published), _fmt((published - value) / value)])
+    _write_csv(args.out, "tables", seed, ["m", "n", "q", "exact", "published", "rel_gap"], rows)
     return 0
 
 

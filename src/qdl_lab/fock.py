@@ -270,6 +270,23 @@ def enumerate_patterns(m: int, n: int) -> list[PhotonPattern]:
     return out
 
 
+def count_patterns(m: int, n: int) -> int:
+    """``len(enumerate_patterns(m, n))`` without building the patterns.
+
+    Partitions of n into at most m parts are, by conjugation, those into
+    parts of size at most m; p(j, k) = p(j, k-1) + p(j-k, k) counts them
+    in O(n min(m, n)) integer steps.
+    """
+    _check_mn(m, n)
+    if n == 0:
+        return 0
+    ways = [1] + [0] * n
+    for k in range(1, min(m, n) + 1):
+        for j in range(k, n + 1):
+            ways[j] += ways[j - k]
+    return ways[n]
+
+
 def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 

@@ -248,6 +248,11 @@ def estimate_gamma_q(
 
 
 def log2_conjectured_c_min(m: int, n: int) -> float:
+    """log2 of c_min = 1/d, which is exact rather than conjectured.
+
+    E[X_phi] = 1/d for every unit vector phi because Sym^n(C^m) is
+    irreducible, so the Haar twirl of any pure state is maximally mixed.
+    """
     return -log2_dim_hilbert(m, n)
 
 

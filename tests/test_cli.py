@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from oracles import exact_two_gamma
+from oracles import exact_raw_c, exact_two_gamma
 from qdl_lab import cli
 
 
@@ -30,6 +30,13 @@ class TestDim:
         row = out.splitlines()[2].split(",")
         assert float(row[3]) == math.log2(math.comb(m + 1, 2))  # log2_d
         assert float(row[5]) == math.log2(math.comb(m, 2))  # log2_C
+
+    def test_pattern_count_without_enumeration(self, capsys):
+        start = time.perf_counter()
+        code, out, _ = run_cli(["dim", "1000", "60"], capsys)
+        assert code == 0
+        assert out.splitlines()[2].split(",")[6] == "966467"  # p(60)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestEstimate:
@@ -85,6 +92,17 @@ class TestEstimate:
         assert code == 2
         assert "valid patterns" in err and "1-1" in err
 
+    def test_single_pattern_not_enumerated(self, tmp_path, capsys):
+        # n = 60 has 966 467 patterns; validating one needs none of them
+        start = time.perf_counter()
+        code, out, _ = run_cli(
+            ["estimate", "gamma", "100", "60", "--pattern", "60", "--samples", "1000",
+             "--seed", "1", "--cache", str(tmp_path / "c.csv")],
+            capsys,
+        )
+        assert code == 0
+        assert out.splitlines()[2].startswith("100,60,60,two_gamma,")
+        assert time.perf_counter() - start < 2.0
 
     @pytest.mark.parametrize("workers", ["1", "2"], ids=["w1", "w2"])
     @pytest.mark.parametrize(
@@ -359,55 +377,48 @@ class TestSimulate:
         assert "pool of K = 1000001 unitaries of m = 2 modes exceeds cap" in err
 
 
+TABLE_ROWS = {"I": 15, "II": 14, "III": 72, "IV": 36, "V": 20}
+
+
+def table_rows(which, capsys):
+    code, out, err = run_cli(["tables", which], capsys)
+    assert code == 0, err
+    lines = out.splitlines()
+    assert lines[0] == f"# qdl-lab v{cli.__version__} cmd=tables seed=0"
+    assert lines[1] == "m,n,q,exact,published,rel_gap"
+    return [line.split(",") for line in lines[2:]]
+
+
 class TestTables:
-    def test_table_ii_small_samples(self, tmp_path, capsys):
-        out_path = tmp_path / "t2.csv"
-        code, _, _ = run_cli(
-            ["tables", "II", "--samples", "2000", "--seed", "9", "--out", str(out_path)],
-            capsys,
-        )
-        assert code == 0
-        lines = out_path.read_text().splitlines()
-        assert lines[1] == "m,n,q,two_gamma,stderr,published,dev_sigma"
-        # 2+2+2+2+3+3 rows across the six (m, n) groups
-        assert len(lines) == 2 + 14
+    @pytest.fixture(autouse=True)
+    def no_monte_carlo(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("tables ran Monte Carlo")
 
-    def test_table_i_columns(self, tmp_path, capsys):
-        out_path = tmp_path / "t1.csv"
-        code, _, _ = run_cli(
-            ["tables", "I", "--samples", "2000", "--seed", "9", "--out", str(out_path)],
-            capsys,
-        )
-        assert code == 0
-        lines = out_path.read_text().splitlines()
-        assert lines[1] == "m,n,q,c,stderr_c,raw_c,stderr_raw,published"
+        monkeypatch.setattr(cli.mc, "estimate_moments", refuse)
 
-    @pytest.mark.parametrize("samples", ["0", "-5"])
-    def test_bad_samples_refused_before_pilot(self, capsys, monkeypatch, samples):
-        def no_pilot(*args, **kwargs):
-            raise AssertionError("pilot ran")
+    @pytest.mark.parametrize("which", list(TABLE_ROWS))
+    def test_row_counts_without_monte_carlo(self, capsys, which):
+        assert len(table_rows(which, capsys)) == TABLE_ROWS[which]
 
-        monkeypatch.setattr(cli.mc, "estimate_moments", no_pilot)
-        code, out, err = run_cli(["tables", "II", "--samples", samples, "--seed", "1"], capsys)
-        assert code == 2
-        assert f"need --samples >= 1000, got {samples}" in err
-        assert out == ""
+    def test_exact_matches_oracles(self, capsys):
+        checked = 0
+        for which in TABLE_ROWS:
+            for m, n, q, exact, _, _ in table_rows(which, capsys):
+                m, n, parts = int(m), int(n), tuple(int(v) for v in q.split("-"))
+                if which == "I":
+                    assert float(exact) == float(exact_raw_c(m, n, parts))
+                elif n <= 3 or len(parts) == 1:
+                    assert float(exact) == exact_two_gamma(m, n, parts)
+                else:
+                    continue
+                checked += 1
+        assert checked == 61
 
-    def test_long_run_guard(self, capsys, monkeypatch):
-        # with no time allowed, any table is a long run and needs the flag
-        monkeypatch.setattr(cli, "LONG_RUN_SECONDS", 0.0)
-        code, out, err = run_cli(["tables", "V", "--seed", "1"], capsys)
-        assert code == 2
-        assert "--accept-long" in err
-        assert out == ""
-
-    def test_short_run_passes_guard(self, tmp_path, capsys):
-        out_path = tmp_path / "t5.csv"
-        code, _, err = run_cli(
-            ["tables", "V", "--samples", "1000", "--seed", "1", "--out", str(out_path)], capsys
-        )
-        assert code == 0, err
-        assert len(out_path.read_text().splitlines()) == 2 + 20
+    def test_rel_gap(self, capsys):
+        for which in TABLE_ROWS:
+            for *_, exact, published, gap in table_rows(which, capsys):
+                assert float(gap) == (float(published) - float(exact)) / float(exact)
 
 
 class TestWorkers:
@@ -426,8 +437,12 @@ class TestCommandOptions:
             ["dim", "3", "2", "--samples", "5"],
             ["keysize", "10", "3", "--eps", "0.1", "--workers", "2"],
             ["simulate", "4", "2", "--accept-long"],
+            ["tables", "II", "--samples", "1000"],
+            ["tables", "III", "--workers", "2"],
+            ["tables", "V", "--accept-long"],
         ],
-        ids=["dim-samples", "keysize-workers", "simulate-accept-long"],
+        ids=["dim-samples", "keysize-workers", "simulate-accept-long", "tables-samples",
+             "tables-workers", "tables-accept-long"],
     )
     def test_option_of_another_command_usage_error(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
@@ -521,7 +536,7 @@ class TestConfigFile:
     def test_key_of_another_command_accepted(self, tmp_path, capsys):
         # one config file may serve several commands
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("trials=50\naccept-long=yes\n")
+        cfg.write_text("trials=50\nfig2=yes\n")
         code, out, _ = run_cli(["dim", "3", "2", "--config", str(cfg)], capsys)
         assert code == 0
         assert "3,2,6," in out

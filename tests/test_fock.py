@@ -12,6 +12,7 @@ from qdl_lab.fock import (
     ModeConfig,
     PhotonPattern,
     basis_tables,
+    count_patterns,
     dim_hilbert,
     enumerate_basis,
     enumerate_patterns,
@@ -137,6 +138,11 @@ class TestPatterns:
             assert total == 0
         else:
             assert total == expected
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_count_patterns(self, m):
+        for n in range(0, 13):  # n > m too, where the at-most-m-parts limit binds
+            assert count_patterns(m, n) == len(enumerate_patterns(m, n))
 
     def test_counts_match_full_enumeration(self):
         basis = enumerate_basis(6, 3)
