@@ -142,7 +142,8 @@ def _build_parser() -> tuple[
     opt(common, "--out", default=None, help="output CSV path ('-' or absent = stdout)")
     common.add_argument("--config", default=None, help="flat key=value config file")
     workers = argparse.ArgumentParser(add_help=False)
-    opt(workers, "--workers", type=int, default=1, help="worker processes; 0 = auto")
+    opt(workers, "--workers", type=int, default=1,
+        help="estimate: threads, simulate: processes, at most the CPU count; 0 = auto")
 
     parser = argparse.ArgumentParser(prog="qdl-lab", description=__doc__)
     parser.add_argument("--version", action="version", version=f"qdl-lab {__version__}")
@@ -213,15 +214,15 @@ def _parse_args(argv: Sequence[str]) -> argparse.Namespace:
 def cmd_dim(args: argparse.Namespace) -> int:
     seed = args.seed if args.seed is not None else 0
     m, n = args.m, args.n
-    d = dim_hilbert(m, n)
+    patterns = count_patterns(m, n)  # first: its cap refuses before d is built
     rows = [[
         m,
         n,
-        d,
+        dim_hilbert(m, n),
         _fmt(log2_dim_hilbert(m, n)),
         num_codewords(m, n) if n <= m else 0,
         _fmt(log2_num_codewords(m, n)) if n <= m else "",
-        count_patterns(m, n),
+        patterns,
     ]]
     _write_csv(args.out, "dim", seed, ["m", "n", "d", "log2_d", "C", "log2_C", "patterns"], rows)
     return 0

@@ -114,8 +114,13 @@ def stiefel_batch(
             f"{count} frames of {height} x {ncols} drawn entries exceed the {FRAME_CAP_BYTES}-byte cap"
         )
     g = np.empty((count, height, ncols), dtype=complex)
-    g.real = rng.standard_normal((count, height, ncols))
-    g.imag = rng.standard_normal((count, height, ncols))
+    # blocks of frames share one buffer; consecutive draws continue one stream,
+    # so the values equal those of one draw per part
+    step = max(1, BLOCK_BYTES // (16 * height * ncols))
+    buf = np.empty((min(step, count), height, ncols))
+    for part in (g.real, g.imag):
+        for s in range(0, count, step):
+            part[s:s + step] = rng.standard_normal(out=buf[:min(step, count - s)])
     if height < m:  # Bartlett factor of the bottom rows' Gram matrix
         diag = np.arange(ncols)
         bartlett = g[:, rows:]
@@ -124,7 +129,6 @@ def stiefel_batch(
         bartlett[:, below[0], below[1]] = 0.0
     # LAPACK factors one matrix at a time, so blocking changes no bit of q;
     # each block's factors are written back over its Gaussians
-    step = max(1, BLOCK_BYTES // (16 * height * ncols))
     for s in range(0, count, step):
         q, r = np.linalg.qr(g[s:s + step])
         d = np.einsum("...ii->...i", r)

@@ -12,16 +12,20 @@ with m (Mezzadri, Notices AMS 54, 2007; Zyczkowski & Sommers, J. Phys. A
 Samples are accumulated in fixed 4096-sample chunks whose RNG streams
 derive from (seed, chunk index), and chunk sums are combined in index
 order with compensated addition, so results are bit-identical for any
-worker count.  ``fan_out`` is the package's one process-pool map; the
-protocol simulator runs its shards through it too.
+worker count.  Chunks run on the calling thread and on helper threads
+that live for the process (``_thread_map``): their frame sampling and
+permanents are numpy and LAPACK calls that release the GIL, and threads
+pay no process start-up.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
+import os
 from dataclasses import dataclass
 from fractions import Fraction
+from queue import SimpleQueue
+from threading import Condition, Event, Lock, Thread
 from typing import Callable, Sequence
 
 import numpy as np
@@ -74,19 +78,94 @@ class GammaRecord:
     seed: int
 
 
-def fan_out(fn: Callable, tasks: Sequence, workers: int) -> list:
-    """``[fn(t) for t in tasks]``, in task order.
+class _Helpers:
+    """Daemon threads, started as first needed, that run the jobs put on one
+    shared queue.  They live as long as the process: a thread started per
+    call can start before the last one has fully exited, get a malloc arena
+    of its own, and so grow the process's memory call by call.  A forked
+    child has none of them; ``_thread_map`` then runs every task on the
+    calling thread, as it waits only for helpers that took its job."""
 
-    With ``workers > 1`` and two or more tasks the calls run in a process
-    pool that lives for this call only, at most 8 tasks per dispatch but
-    never fewer batches than workers.  Results do not depend on
-    ``workers``.
+    def __init__(self) -> None:
+        self.jobs: SimpleQueue = SimpleQueue()
+        self.started = 0
+        self.lock = Lock()
+
+    def run(self, job: Callable[[], None], copies: int) -> None:
+        """Queue ``copies`` calls of ``job``, with at least that many threads."""
+        with self.lock:
+            while self.started < copies:
+                Thread(target=self._serve, daemon=True).start()
+                self.started += 1
+        for _ in range(copies):
+            self.jobs.put(job)
+
+    def _serve(self) -> None:
+        while True:
+            self.jobs.get()()
+
+
+_HELPERS = _Helpers()
+
+
+def _thread_map(fn: Callable, tasks: Sequence, workers: int) -> list:
+    """``[fn(t) for t in tasks]``, in task order, on the calling thread and
+    ``min(workers, len(tasks), os.cpu_count() or 1) - 1`` helper threads.
+
+    Every thread takes the next task index from one shared iterator and
+    writes its result to that index's slot, so results do not depend on
+    ``workers``.  Once a task raises, or the caller is interrupted, no
+    thread takes a new task; after the helpers finish their current tasks
+    the exception of the lowest-index failed task is raised, the one a
+    sequential run would raise first.  The caller waits only for helpers
+    that took its job before it finished, so a helper slow to wake costs
+    nothing.
     """
-    if workers > 1 and len(tasks) > 1:
-        chunksize = min(8, math.ceil(len(tasks) / workers))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, tasks, chunksize=chunksize))
-    return [fn(t) for t in tasks]
+    count = min(workers, len(tasks), os.cpu_count() or 1)
+    if count <= 1:
+        return [fn(t) for t in tasks]
+    results = [None] * len(tasks)
+    errors: dict[int, BaseException] = {}
+    indices = iter(range(len(tasks)))
+    cond = Condition()
+    stop = Event()
+    active = 0  # helpers inside work()
+
+    def work() -> None:
+        while not stop.is_set():
+            with cond:
+                i = next(indices, None)
+            if i is None:
+                return
+            try:
+                results[i] = fn(tasks[i])
+            except BaseException as exc:  # re-raised by the caller below
+                errors[i] = exc
+                stop.set()
+
+    def helper() -> None:
+        nonlocal active
+        with cond:
+            if stop.is_set():
+                return
+            active += 1
+        try:
+            work()
+        finally:
+            with cond:
+                active -= 1
+                cond.notify_all()
+
+    _HELPERS.run(helper, count - 1)
+    try:
+        work()
+    finally:
+        with cond:
+            stop.set()
+            cond.wait_for(lambda: active == 0)
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 def _chunk_power_sums(args: tuple[int, int, tuple[int, ...], int, int, int]) -> np.ndarray:
@@ -108,7 +187,7 @@ def _chunk_power_sums(args: tuple[int, int, tuple[int, ...], int, int, int]) -> 
         y = np.prod(n * e / e.sum(axis=1, keepdims=True), axis=1) * (math.factorial(n) / n**n)
     else:
         frame = stiefel_batch(rng, count, m, ncols, rows=n)
-        a = frame[:, :, np.repeat(np.arange(ncols), parts)]
+        a = frame if ncols == n else frame[:, :, np.repeat(np.arange(ncols), parts)]
         y = np.abs(_permanent_batch(a)) ** 2 / PhotonPattern(parts).norm_factor()
     return np.array([y.sum(), (y**2).sum(), (y**3).sum(), (y**4).sum()])
 
@@ -145,8 +224,8 @@ def estimate_moments(
     """Monte Carlo moments of X = |<phi_q|U|psi>|^2 under Haar U.
 
     The samples are cut into ``CHUNK``-sized chunks, each with its own
-    stream, which ``fan_out`` maps over ``workers`` processes; their power
-    sums are added in chunk order with compensation, so the result is
+    stream, which ``_thread_map`` runs on up to ``workers`` threads; their
+    power sums are added in chunk order with compensation, so the result is
     deterministic for a given seed regardless of ``workers``.  The moments
     and standard errors are computed for the sampled Y of
     ``_chunk_power_sums`` and scaled exactly to X = T^n Y: the mean and its
@@ -161,7 +240,7 @@ def estimate_moments(
     _validate(m, n, q, samples)
     sizes = [min(CHUNK, samples - start) for start in range(0, samples, CHUNK)]
     tasks = [(m, n, q.parts, seed, idx, size) for idx, size in enumerate(sizes)]
-    chunk_sums = fan_out(_chunk_power_sums, tasks, workers)
+    chunk_sums = _thread_map(_chunk_power_sums, tasks, workers)
     s, comp = np.zeros(4), np.zeros(4)
     for row in chunk_sums:
         s = _neumaier_add(s, comp, row)

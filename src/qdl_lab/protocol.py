@@ -12,15 +12,15 @@ photon number.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
-from typing import Mapping, Optional, Union
+from typing import Callable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import DomainError, ResourceError
 from .fock import CodeBook, ModeConfig, _check_basis, codebook_size, dim_hilbert, sample_codebook
 from .linop import BLOCK_BYTES, check_unitary, haar_batch, output_distributions
-from .mc import fan_out
 
 SHARD = 4096
 
@@ -167,6 +167,26 @@ def empirical_mutual_info(counts: Mapping) -> float:
     return max(acc, 0.0)
 
 
+def _process_map(fn: Callable, tasks: Sequence, workers: int) -> list:
+    """``[fn(t) for t in tasks]``, in task order.
+
+    When ``min(workers, len(tasks), os.cpu_count() or 1)`` is 2 or more,
+    the calls run in a process pool of that many processes that lives for
+    this call only, at most 8 tasks per dispatch but never fewer batches
+    than processes.  Shards spend most of their time in
+    Python that holds the GIL, so processes, unlike the Monte Carlo's
+    threads, run them in parallel.  Results do not depend on ``workers``.
+    """
+    count = min(workers, len(tasks), os.cpu_count() or 1)
+    if count <= 1:
+        return [fn(t) for t in tasks]
+    # imported here: importing qdl_lab then loads no multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=count) as pool:
+        return list(pool.map(fn, tasks, chunksize=min(8, math.ceil(len(tasks) / count))))
+
+
 def _run_shard(
     args: tuple[ProtocolConfig, np.ndarray, np.ndarray, int, int, int, bool]
 ) -> tuple[dict, dict, int, list[TrialRecord]]:
@@ -264,7 +284,7 @@ def run_trials(
     The codebook (stream ``[seed, 2]``) and the (K, m, m) ``gen_unitary_pool``
     array (stream ``[seed, 1]``) are sampled once and handed to every shard.
     Trials are sharded by index (``SHARD`` per shard) with per-shard RNG
-    streams, and ``mc.fan_out`` maps the shards over ``workers``
+    streams, and ``_process_map`` maps the shards over up to ``workers``
     processes, so the transcript is identical for any worker count.  Each
     shard runs as one batched pass (``_run_shard``) whose temporaries are
     bounded by ``linop.BLOCK_BYTES`` per block.  The summary carries
@@ -291,7 +311,7 @@ def run_trials(
         (config, occ, units, idx, start, min(SHARD, config.trials - start), collect_records)
         for idx, start in enumerate(range(0, config.trials, SHARD))
     ]
-    parts = fan_out(_run_shard, shards, workers)
+    parts = _process_map(_run_shard, shards, workers)
 
     keyed_counts: dict = {}
     blind_counts: dict = {}

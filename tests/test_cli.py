@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import math
 import subprocess
@@ -7,7 +8,8 @@ import time
 import pytest
 
 from oracles import exact_raw_c, exact_two_gamma
-from qdl_lab import cli
+from qdl_lab import cli, mc
+from qdl_lab.errors import DomainError
 
 
 def run_cli(args, capsys):
@@ -36,6 +38,13 @@ class TestDim:
         code, out, _ = run_cli(["dim", "1000", "60"], capsys)
         assert code == 0
         assert out.splitlines()[2].split(",")[6] == "966467"  # p(60)
+        assert time.perf_counter() - start < 1.0
+
+    def test_pattern_count_cap_exit_code(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run_cli(["dim", "100000", "100000"], capsys)
+        assert code == 4
+        assert out == "" and "resource cap" in err
         assert time.perf_counter() - start < 1.0
 
 
@@ -428,6 +437,57 @@ class TestWorkers:
         )
         assert code == 2
         assert "--workers" in err
+
+    def test_estimate_starts_no_process(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("estimate started a process pool")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+        monkeypatch.setattr(mc.os, "cpu_count", lambda: 2)
+        code, out, _ = run_cli(
+            ["estimate", "gamma", "8", "3", "--samples", "10000", "--seed", "1", "--workers", "2",
+             "--cache", str(tmp_path / "c.csv")],
+            capsys,
+        )
+        assert code == 0
+        assert len(out.splitlines()) == 2 + 3  # header lines and the 3 patterns of n = 3
+
+    @pytest.mark.parametrize("pattern", ["4", "1-1-1-1", "2-2"])
+    def test_estimate_csv_identical_across_threads(self, tmp_path, capsys, monkeypatch, pattern):
+        # 5 chunks; with 8 CPUs reported, --workers 8 runs 5 threads
+        monkeypatch.setattr(mc.os, "cpu_count", lambda: 8)
+        outputs = []
+        for w in ("1", "2", "8"):
+            out = tmp_path / f"w{w}.csv"
+            code, _, _ = run_cli(
+                ["estimate", "gamma", "9", "4", "--pattern", pattern, "--samples", "20000",
+                 "--seed", "5", "--workers", w, "--out", str(out),
+                 "--cache", str(tmp_path / "c.csv")],
+                capsys,
+            )
+            assert code == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_chunk_domain_error_exit_code(self, tmp_path, capsys, monkeypatch, workers):
+        chunk = mc._chunk_power_sums
+
+        def refuse_first(args):
+            if args[4] == 0:
+                raise DomainError("chunk 0 refused")
+            return chunk(args)
+
+        monkeypatch.setattr(mc, "_chunk_power_sums", refuse_first)
+        monkeypatch.setattr(mc.os, "cpu_count", lambda: 2)
+        code, out, err = run_cli(
+            ["estimate", "gamma", "8", "3", "--pattern", "1-1-1", "--samples", "20000",
+             "--seed", "1", "--workers", workers, "--cache", str(tmp_path / "c.csv")],
+            capsys,
+        )
+        assert code == 2
+        assert err == "error: chunk 0 refused\n"
+        assert out == ""
 
 
 class TestCommandOptions:

@@ -144,6 +144,15 @@ class TestPatterns:
         for n in range(0, 13):  # n > m too, where the at-most-m-parts limit binds
             assert count_patterns(m, n) == len(enumerate_patterns(m, n))
 
+    def test_count_patterns_cap(self, monkeypatch):
+        monkeypatch.setattr(fock, "PATTERN_COUNT_CAP", 36)  # n * min(m, n)
+        assert count_patterns(6, 6) == 11
+        assert count_patterns(100, 6) == 11
+        with pytest.raises(ResourceError, match="cap 36"):
+            count_patterns(7, 7)
+        with pytest.raises(ResourceError):
+            count_patterns(1, 37)
+
     def test_counts_match_full_enumeration(self):
         basis = enumerate_basis(6, 3)
         by_pattern: dict[tuple, int] = {}

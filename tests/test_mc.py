@@ -1,5 +1,8 @@
 import csv
 import math
+import sys
+import threading
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -185,6 +188,110 @@ class TestGamma:
     def test_gamma_determinism_across_workers(self):
         recs = [estimate_gamma_q(10, 3, (3,), 12_000, seed=45, workers=w) for w in (1, 2, 8)]
         assert recs[0] == recs[1] == recs[2]
+
+
+@pytest.fixture
+def helpers(monkeypatch):
+    """A fresh helper set, so a test's patched CPU count leaves the module's alone."""
+    fresh = mc._Helpers()
+    monkeypatch.setattr(mc, "_HELPERS", fresh)
+    return fresh
+
+
+class TestThreadMap:
+    @pytest.mark.parametrize(
+        "workers,tasks,cpus,started",
+        [(100_000, 2, 64, 1), (100_000, 50, 2, 1), (3, 50, 64, 2), (1, 50, 64, 0), (4, 1, 64, 0)],
+    )
+    def test_thread_count_bounded(self, monkeypatch, helpers, workers, tasks, cpus, started):
+        # min(workers, tasks, cpus) - 1 helpers; the recorder starts no thread,
+        # so the caller takes every task itself
+        made = []
+
+        class RecordingThread:
+            def __init__(self, target, daemon):
+                assert daemon
+                made.append(target)
+
+            def start(self):
+                pass
+
+        monkeypatch.setattr(mc, "Thread", RecordingThread)
+        monkeypatch.setattr(mc.os, "cpu_count", lambda: cpus)
+        for _ in range(2):  # the second call reuses the first call's helpers
+            assert mc._thread_map(lambda t: t * t, list(range(tasks)), workers) == [
+                t * t for t in range(tasks)
+            ]
+            assert len(made) == helpers.started == started
+
+    @pytest.mark.parametrize("workers", [2, 8])
+    def test_no_task_taken_after_failure(self, monkeypatch, helpers, workers):
+        monkeypatch.setattr(mc.os, "cpu_count", lambda: workers)
+        calls = []
+        raised = threading.Event()
+
+        def task(i):
+            calls.append(i)
+            if i == 0:
+                raised.set()
+                raise ValueError("task 0 failed")
+            raised.wait(5.0)
+            time.sleep(0.05)  # the failing thread sets the stop flag meanwhile
+
+        with pytest.raises(ValueError, match="^task 0 failed$"):
+            mc._thread_map(task, list(range(100)), workers)
+        assert 0 in calls and len(calls) <= workers
+
+    def test_lowest_index_error_raised(self, monkeypatch, helpers):
+        # index 5 fails first in time, but a sequential run raises index 3's error
+        monkeypatch.setattr(mc.os, "cpu_count", lambda: 8)
+
+        def task(i):
+            if i == 3:
+                time.sleep(0.1)
+                raise ValueError("task 3 failed")
+            if i == 5:
+                raise KeyError("task 5 failed")
+            return i
+
+        for workers in (1, 8):
+            with pytest.raises(ValueError, match="^task 3 failed$"):
+                mc._thread_map(task, list(range(40)), workers)
+
+    def test_interrupt_stops_helpers(self, monkeypatch, helpers):
+        monkeypatch.setattr(mc.os, "cpu_count", lambda: 2)
+        calls = []
+
+        def task(i):
+            calls.append(i)
+            if threading.current_thread() is threading.main_thread():
+                raise KeyboardInterrupt
+            time.sleep(0.05)
+
+        with pytest.raises(KeyboardInterrupt):
+            mc._thread_map(task, list(range(100)), 2)
+        taken = len(calls)
+        time.sleep(0.2)
+        assert taken <= 2 and len(calls) == taken  # the helper took no task after
+
+    def test_each_task_once_under_contention(self, monkeypatch, helpers):
+        # more threads than cores and a short switch interval: a task index
+        # handed out twice, or a result written to the wrong slot, shows here
+        monkeypatch.setattr(mc.os, "cpu_count", lambda: 16)
+        calls = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            start = time.perf_counter()
+            for _ in range(3):
+                calls.clear()
+                results = mc._thread_map(lambda i: calls.append(i) or -i, list(range(3000)), 16)
+                assert results == [-i for i in range(3000)]
+                assert sorted(calls) == list(range(3000))
+            assert time.perf_counter() - start < 30.0
+        finally:
+            sys.setswitchinterval(interval)
+        assert helpers.started == 15
 
 
 class TestClosedForms:

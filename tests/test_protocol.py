@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import math
 
@@ -229,6 +230,35 @@ class TestRunTrials:
         b = run_trials(cfg, workers=2, collect_records=True)
         assert a.records == b.records
         assert a == b
+
+    @pytest.mark.parametrize(
+        "workers,cpus,processes", [(100_000, 64, 3), (100_000, 2, 2), (2, 64, 2), (1, 64, None)]
+    )
+    def test_process_count_bounded(self, monkeypatch, workers, cpus, processes):
+        # 9 000 trials are 3 shards: min(workers, 3, cpus) processes, or none
+        # at one; the recorder runs the shards inline and forks nothing
+        made = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                made.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize):
+                assert chunksize == min(8, math.ceil(len(tasks) / made[-1]))
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(protocol.os, "cpu_count", lambda: cpus)
+        cfg = ProtocolConfig(m=4, n=2, K=8, eta=0.5, trials=9_000, seed=4)
+        got = run_trials(cfg, workers=workers, collect_records=True)
+        assert made == ([] if processes is None else [processes])
+        assert got == run_trials(cfg, workers=1, collect_records=True)
 
     def test_transcript_rows(self):
         cfg = ProtocolConfig(m=4, n=2, K=4, eta=0.6, trials=500, seed=5)
