@@ -13,6 +13,8 @@ Exit codes: 0 success, 2 usage error, 4 resource cap.
 from __future__ import annotations
 
 import argparse
+import ctypes
+import functools
 import math
 import os
 import secrets
@@ -34,6 +36,44 @@ from .fock import (
 )
 from .mc import DEFAULT_C_SAMPLES, DEFAULT_GAMMA_SAMPLES
 from .svg import line_chart
+
+#: glibc's M_TRIM_THRESHOLD, set by main: free memory at the top of the heap
+#: goes back to the kernel only beyond it.  Under glibc's defaults the
+#: per-block temporaries of linop.output_distributions, _permanent_batch and
+#: protocol._compatible went back after each block and were faulted in again
+#: by the next.  On 2 vCPUs, 60-100 ops of a 1024-trial `simulate 8 3 --K 64
+#: --eta 0.8` in one process took 4 800-5 200 minor page faults and 21-28 ms
+#: of CPU per op under the defaults, and 1.1-1.9 faults and 13-17 ms with this.
+TRIM_THRESHOLD = 64 << 20
+
+#: glibc's M_MMAP_THRESHOLD, set by main: blocks below it come from the heap,
+#: not from a fresh mapping; 32 MB is glibc's largest on 64-bit.  It pins a
+#: threshold that glibc otherwise moves with each mapped block freed, so
+#: which temporaries are mapped afresh does not depend on what ran before.
+#: Alone it took 5 800 faults per op on the op above, as glibc then stops
+#: raising the trim threshold too; with TRIM_THRESHOLD, 1.7.
+MMAP_THRESHOLD = 32 << 20
+
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # mallopt parameter numbers, <malloc.h>
+
+
+@functools.cache
+def _keep_freed_heap() -> bool:
+    """Raise glibc's malloc thresholds so per-block temporaries reuse heap pages.
+
+    True when glibc accepted both.  Without glibc's mallopt (macOS, musl,
+    Windows) nothing changes.  Called by ``main`` only: the CLI owns its
+    process, and library callers keep their allocator's settings.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return False
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    return (
+        mallopt(_M_MMAP_THRESHOLD, MMAP_THRESHOLD) == 1
+        and mallopt(_M_TRIM_THRESHOLD, TRIM_THRESHOLD) == 1
+    )
 
 
 def _msg(text: str) -> None:
@@ -215,10 +255,18 @@ def cmd_dim(args: argparse.Namespace) -> int:
     seed = args.seed if args.seed is not None else 0
     m, n = args.m, args.n
     patterns = count_patterns(m, n)  # first: its cap refuses before d is built
+    d = dim_hilbert(m, n)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    if limit and d >= 10**limit:  # C <= d, so C prints whenever d does
+        low = int((d.bit_length() - 1) * math.log10(2))  # 10**low <= d
+        raise ResourceError(
+            f"d has {low + 1 + (d >= 10 ** (low + 1))} decimal digits, over Python's "
+            f"{limit}-digit limit for printing an integer; log2_d gives its size"
+        )
     rows = [[
         m,
         n,
-        dim_hilbert(m, n),
+        d,
         _fmt(log2_dim_hilbert(m, n)),
         num_codewords(m, n) if n <= m else 0,
         _fmt(log2_num_codewords(m, n)) if n <= m else "",
@@ -445,6 +493,7 @@ _HANDLERS = {
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
+    _keep_freed_heap()
     try:
         args = _parse_args(argv)
         return _HANDLERS[args.command](args)

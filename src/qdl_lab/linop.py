@@ -25,10 +25,16 @@ PERMANENT_CAP = 25
 UNITARITY_TOL = 1e-12
 
 #: Bytes of complex input gathered per block: each _permanent_batch call of
-#: output_distributions, each QR call of stiefel_batch.  On 2 vCPUs a
-#: 1024-trial shard of (m, n, K) = (8, 3, 64) took 20-32 ms with 256 KB
-#: blocks and 37-41 ms with 64 KB or 1 MB blocks.
-BLOCK_BYTES = 1 << 18
+#: output_distributions, each QR call of stiefel_batch.  On 2 vCPUs, under the
+#: CLI's malloc thresholds, a 1024-trial `simulate 8 3 --K 64 --eta 0.8` took
+#: a median 19.6, 16.1, 15.3 and 15.0 ms of CPU with 128 KB, 256 KB, 512 KB
+#: and 1 MB blocks (512 KB beat 256 KB in 8 of 8 interleaved rounds); a
+#: 20 000-trial `simulate 4 2 --K 16 --eta 0.5` took 19.9-20.0 ms at each size,
+#: and `estimate gamma` at (100, 2), (60, 3) and (16, 8) moved by under 3%.
+#: 512 KB raised the peak RSS of 30 in-process `estimate gamma` ops at
+#: (100, 2), (60, 3) and (250, 4) by 1.1 MB at workers 1 and 2.3 MB at
+#: workers 2.  1 MB saves no more CPU than 512 KB and doubles the blocks again.
+BLOCK_BYTES = 1 << 19
 
 #: Largest frame batch stiefel_batch draws, count * height * ncols * 16 bytes
 #: (height is m, or rows + ncols on its truncated path).  On 2 vCPUs a full

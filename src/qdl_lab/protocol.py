@@ -24,6 +24,14 @@ from .linop import BLOCK_BYTES, check_unitary, haar_batch, output_distributions
 
 SHARD = 4096
 
+#: Fewest shards per process for which run_trials starts processes.  On 2
+#: vCPUs, fresh `qdl-lab simulate` runs at workers 2 overtook workers 1 from
+#: about 6 shards per process at (m, n, K) = (8, 3, 64), eta 0.8 (12 shards:
+#: 0.50 against 0.61 s), and from about 16 at (4, 2, 16), eta 0.5 (32 shards:
+#: 0.29 against 0.28 s; 48 shards: 0.31 against 0.34 s).  With 5 shards they
+#: took 0.47 against 0.41 s and 0.23 against 0.19 s.
+MIN_SHARDS_PER_PROCESS = 8
+
 #: Cap on trials * d.  The blind diagnostic draws one of d outcomes per
 #: trial, from the d-point distributions of up to one (k, x) pair per trial,
 #: so trials * d bounds its permanents.  The codebook, basis and pool have
@@ -170,14 +178,16 @@ def empirical_mutual_info(counts: Mapping) -> float:
 def _process_map(fn: Callable, tasks: Sequence, workers: int) -> list:
     """``[fn(t) for t in tasks]``, in task order.
 
-    When ``min(workers, len(tasks), os.cpu_count() or 1)`` is 2 or more,
-    the calls run in a process pool of that many processes that lives for
-    this call only, at most 8 tasks per dispatch but never fewer batches
-    than processes.  Shards spend most of their time in
-    Python that holds the GIL, so processes, unlike the Monte Carlo's
-    threads, run them in parallel.  Results do not depend on ``workers``.
+    When ``min(workers, len(tasks) // MIN_SHARDS_PER_PROCESS, os.cpu_count()
+    or 1)`` is 2 or more, the calls run in a process pool of that many
+    processes that lives for this call only, at most 8 tasks per dispatch
+    but never fewer batches than processes; otherwise they run inline, as
+    starting processes costs more than fewer tasks per process save.
+    Shards spend most of their time in Python that holds the GIL, so
+    processes, unlike the Monte Carlo's threads, run them in parallel.
+    Results do not depend on ``workers``.
     """
-    count = min(workers, len(tasks), os.cpu_count() or 1)
+    count = min(workers, len(tasks) // MIN_SHARDS_PER_PROCESS, os.cpu_count() or 1)
     if count <= 1:
         return [fn(t) for t in tasks]
     # imported here: importing qdl_lab then loads no multiprocessing

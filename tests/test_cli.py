@@ -1,14 +1,16 @@
 import concurrent.futures
 import hashlib
 import math
+import platform
 import subprocess
 import sys
 import time
+import types
 
 import pytest
 
 from oracles import exact_raw_c, exact_two_gamma
-from qdl_lab import cli, mc
+from qdl_lab import cli, mc, protocol
 from qdl_lab.errors import DomainError
 
 
@@ -46,6 +48,16 @@ class TestDim:
         assert code == 4
         assert out == "" and "resource cap" in err
         assert time.perf_counter() - start < 1.0
+
+    def test_digit_limit_exit_code(self, capsys):
+        # d = C(1001999, 2000) has 6 266 digits, past the 4 300 Python prints
+        code, out, err = run_cli(["dim", "1000000", "2000"], capsys)
+        assert code == 4
+        assert out == ""
+        assert err == (
+            "resource cap: d has 6266 decimal digits, over Python's 4300-digit limit "
+            "for printing an integer; log2_d gives its size\n"
+        )
 
 
 class TestEstimate:
@@ -488,6 +500,69 @@ class TestWorkers:
         assert code == 2
         assert err == "error: chunk 0 refused\n"
         assert out == ""
+
+    def test_simulate_identical_across_processes(self, tmp_path, capsys, monkeypatch):
+        # 3 shards, one shard per process at least: workers 2 and 8 start 2 and 3 processes
+        monkeypatch.setattr(protocol, "MIN_SHARDS_PER_PROCESS", 1)
+        monkeypatch.setattr(protocol.os, "cpu_count", lambda: 8)
+        outputs = []
+        for w in ("1", "2", "8"):
+            out, transcript = tmp_path / f"w{w}.csv", tmp_path / f"t{w}.csv"
+            code, stdout, _ = run_cli(
+                ["simulate", "5", "3", "--K", "6", "--eta", "0.7", "--trials", "9000", "--seed", "9",
+                 "--workers", w, "--out", str(out), "--transcript", str(transcript)],
+                capsys,
+            )
+            assert code == 0
+            outputs.append((stdout, out.read_bytes(), transcript.read_bytes()))
+        assert outputs[0] == outputs[1] == outputs[2]
+
+
+class TestMallocThresholds:
+    @pytest.mark.skipif(
+        not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+        reason="glibc's mallopt only",
+    )
+    def test_simulate_faults_no_block_back_in(self):
+        # under glibc's default thresholds each op faulted about 5 000 pages
+        # back in: its per-block temporaries went back to the kernel
+        script = (
+            "import contextlib, io, resource\n"
+            "from qdl_lab import cli\n"
+            "def op(seed):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert cli.main(['simulate', '8', '3', '--K', '64', '--eta', '0.8',\n"
+            "                         '--trials', '1024', '--seed', str(seed)]) == 0\n"
+            "for seed in range(3):\n"
+            "    op(seed)\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "for seed in range(20):\n"
+            "    op(seed)\n"
+            "print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert float(proc.stdout) < 500
+
+    @pytest.mark.parametrize("libc", ["missing", "no-mallopt", "refused"])
+    def test_without_mallopt(self, capsys, monkeypatch, libc):
+        # macOS and Windows have no mallopt; musl's accepts nothing
+        def cdll(name):
+            if libc == "missing":
+                raise OSError("no C library")
+            if libc == "no-mallopt":
+                return types.SimpleNamespace()
+            return types.SimpleNamespace(mallopt=lambda param, value: 0)
+
+        monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+        cli._keep_freed_heap.cache_clear()
+        try:
+            assert cli._keep_freed_heap() is False
+            code, out, _ = run_cli(["dim", "4", "3"], capsys)
+        finally:
+            cli._keep_freed_heap.cache_clear()
+        assert code == 0
+        assert "4,3,20," in out
 
 
 class TestCommandOptions:

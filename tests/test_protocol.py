@@ -224,7 +224,8 @@ class TestRunTrials:
         expected = mutual_info_lossy(m, n, eta)
         assert s.keyed_mi_bits == pytest.approx(expected, abs=0.03)
 
-    def test_shard_determinism_across_workers(self):
+    def test_shard_determinism_across_workers(self, monkeypatch):
+        monkeypatch.setattr(protocol, "MIN_SHARDS_PER_PROCESS", 1)  # 3 shards start 2 processes
         cfg = ProtocolConfig(m=4, n=2, K=8, eta=0.5, trials=9_000, seed=4)
         a = run_trials(cfg, workers=1, collect_records=True)
         b = run_trials(cfg, workers=2, collect_records=True)
@@ -235,30 +236,29 @@ class TestRunTrials:
         "workers,cpus,processes", [(100_000, 64, 3), (100_000, 2, 2), (2, 64, 2), (1, 64, None)]
     )
     def test_process_count_bounded(self, monkeypatch, workers, cpus, processes):
-        # 9 000 trials are 3 shards: min(workers, 3, cpus) processes, or none
-        # at one; the recorder runs the shards inline and forks nothing
-        made = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                made.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks, chunksize):
-                assert chunksize == min(8, math.ceil(len(tasks) / made[-1]))
-                return map(fn, tasks)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(protocol.os, "cpu_count", lambda: cpus)
+        # 9 000 trials are 3 shards: with a minimum of 1 shard per process,
+        # min(workers, 3, cpus) processes, or none at one; with a minimum of 2,
+        # 3 // 2 = 1 process, so none.  The recorder runs the shards inline
+        made = _record_pools(monkeypatch, cpus)
         cfg = ProtocolConfig(m=4, n=2, K=8, eta=0.5, trials=9_000, seed=4)
-        got = run_trials(cfg, workers=workers, collect_records=True)
-        assert made == ([] if processes is None else [processes])
-        assert got == run_trials(cfg, workers=1, collect_records=True)
+        serial = run_trials(cfg, workers=1, collect_records=True)
+        for minimum, expected in ((1, processes), (2, None)):
+            monkeypatch.setattr(protocol, "MIN_SHARDS_PER_PROCESS", minimum)
+            made.clear()
+            got = run_trials(cfg, workers=workers, collect_records=True)
+            assert made == ([] if expected is None else [expected])
+            assert got == serial
+
+    @pytest.mark.parametrize("spare", [-1, 0])
+    def test_min_shards_per_process(self, monkeypatch, spare):
+        # two processes start only once each gets MIN_SHARDS_PER_PROCESS shards
+        made = _record_pools(monkeypatch, cpus=2)
+        monkeypatch.setattr(protocol, "SHARD", 100)
+        shards = 2 * protocol.MIN_SHARDS_PER_PROCESS + spare
+        cfg = ProtocolConfig(m=4, n=2, K=8, eta=0.5, trials=100 * shards, seed=4)
+        got = run_trials(cfg, workers=2)
+        assert made == ([] if spare < 0 else [2])
+        assert got == run_trials(cfg, workers=1)
 
     def test_transcript_rows(self):
         cfg = ProtocolConfig(m=4, n=2, K=4, eta=0.6, trials=500, seed=5)
@@ -287,6 +287,30 @@ class TestRunTrials:
                 for k in range(K):
                     res = decode_with_key(k, pool, cb[x], cb)
                     assert res.decoded == x
+
+
+def _record_pools(monkeypatch, cpus):
+    """Replace the process pool by a recorder that runs tasks inline; returns
+    the list of pool sizes made.  os.cpu_count reports ``cpus``."""
+    made = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize):
+            assert chunksize == min(8, math.ceil(len(tasks) / made[-1]))
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(protocol.os, "cpu_count", lambda: cpus)
+    return made
 
 
 def _stream(*entropy):
