@@ -164,12 +164,16 @@ def _permanent_batch(a: np.ndarray) -> np.ndarray:
 
     perm(A) = 2^-(k-1) sum_delta (prod_i delta_i) prod_j sum_i delta_i a_ij
     over sign vectors with delta_0 = +1.  Column sums live in a contiguous
-    (k, b) array and each Gray-code step flips one row's sign.  k above
-    ``PERMANENT_CAP`` raises DomainError before any work.
+    (k, b) array and each Gray-code step flips one row's sign.  A batch of
+    one is run as two copies, since numpy reduces a (k, 1) array in another
+    order than a (k, b) one: so a matrix's permanent has the same bits in
+    any batch.  k above ``PERMANENT_CAP`` raises DomainError before any work.
     """
     b, k, _ = a.shape
     if k > PERMANENT_CAP:
         raise DomainError(f"matrix size {k} exceeds permanent cap {PERMANENT_CAP}")
+    if b == 1:
+        return _permanent_batch(np.concatenate((a, a)))[:1]
     rows = np.transpose(a, (1, 2, 0)).astype(complex, order="C")  # (row, col, b) copy
     col_sums = rows.sum(axis=0)
     rows *= 2.0
@@ -186,10 +190,11 @@ def _permanent_batch(a: np.ndarray) -> np.ndarray:
         else:
             col_sums += rows[bit.bit_length()]
         np.prod(col_sums, axis=0, out=term)
-        if step & 1:  # one sign flips per step, so the parity alternates
-            np.negative(term, out=term)
+        # one sign flips per step, so the parity alternates with step
         if compensated:  # keeps the alternating sum accurate
-            total = _neumaier_add(total, comp, term)
+            total = _neumaier_add(total, comp, -term if step & 1 else term)
+        elif step & 1:
+            total -= term
         else:
             total += term
     return (total + comp) / (1 << (k - 1))

@@ -25,11 +25,13 @@ from .linop import BLOCK_BYTES, check_unitary, haar_batch, output_distributions
 SHARD = 4096
 
 #: Fewest shards per process for which run_trials starts processes.  On 2
-#: vCPUs, fresh `qdl-lab simulate` runs at workers 2 overtook workers 1 from
-#: about 6 shards per process at (m, n, K) = (8, 3, 64), eta 0.8 (12 shards:
-#: 0.50 against 0.61 s), and from about 16 at (4, 2, 16), eta 0.5 (32 shards:
-#: 0.29 against 0.28 s; 48 shards: 0.31 against 0.34 s).  With 5 shards they
-#: took 0.47 against 0.41 s and 0.23 against 0.19 s.
+#: vCPUs, in fresh `qdl-lab simulate` runs (medians of 6 interleaved pairs,
+#: processes forced on), workers 2 against workers 1 took, at (m, n, K) =
+#: (8, 3, 64), eta 0.8: 0.75 against 0.66 s at 6 shards per process, 0.63
+#: against 0.60 s at 8 and 0.65 against 0.99 s at 10; at (4, 2, 16), eta 0.5,
+#: whose shards cost about 1 ms: 0.31 against 0.27 s at 8, 0.43 against
+#: 0.44 s at 64 and 0.73 against 0.96 s at 256.  8 sits at the first shape's
+#: break-even; the second needs about 64.
 MIN_SHARDS_PER_PROCESS = 8
 
 #: Cap on trials * d.  The blind diagnostic draws one of d outcomes per
@@ -205,12 +207,15 @@ def _run_shard(
     ``occ`` is the (M, m) int8 codeword occupancy matrix and ``units`` the
     (K, m, m) pool array of ``gen_unitary_pool``, both built once by ``run_trials``.
     The shard's stream ``[seed, 3, shard_idx]`` draws messages, keys,
-    blind uniforms and loss masks, in that order.  Keyed decoding counts
-    the codewords that hold every detected photon, for blocks of trials of
-    at most ``BLOCK_BYTES`` comparisons; a lone compatible codeword is the
+    blind uniforms and loss masks, in that order.  A trial's detected
+    configuration depends only on its message x and on which of its n
+    photons survive, so trials are grouped once by ``x << n | kept-slot
+    bits``, and every code is decoded once: the codewords that hold each
+    distinct detected row are counted, for blocks of rows of at most
+    ``BLOCK_BYTES`` comparisons, and a lone compatible codeword is the
     sent one.  Blind outcomes come from ``_photodetect``.  Count tables
     list their keys in order of first appearance, as a per-trial loop
-    would fill them.
+    would fill them; per-trial columns are built only for ``collect``.
     """
     config, occ, units, shard_idx, start, count, collect = args
     rng = np.random.default_rng([config.seed, 3, shard_idx])
@@ -222,27 +227,61 @@ def _run_shard(
     keep = rng.random(size=(count, n)) < config.eta
 
     modes = np.nonzero(occ)[1].reshape(M, n)  # loss-mask slot -> mode
-    detected = occ[xs]
-    lost_t, lost_slot = np.nonzero(~keep)
-    detected[lost_t, modes[xs[lost_t], lost_slot]] = 0
+    first, counts, code_of = _first_appearance(xs << n | keep @ (1 << np.arange(n)))
+    x_code = xs[first]
+    detected = occ[x_code]
+    lost_c, lost_slot = np.nonzero(~keep[first])
+    detected[lost_c, modes[x_code[lost_c], lost_slot]] = 0
     step = max(1, BLOCK_BYTES // (M * config.m))
     ambiguity = np.concatenate(
-        [_compatible(occ, detected[s:s + step]).sum(axis=1) for s in range(0, count, step)]
+        [_compatible(occ, detected[s:s + step]).sum(axis=1) for s in range(0, len(first), step)]
     )
     z = _photodetect(units, modes, xs, ks, u_blind)
 
-    first, counts = _tally(np.column_stack((xs, keep)))
+    rows = detected.tolist()
     keyed_counts = {
-        (int(xs[t]), tuple(detected[t].tolist())): int(c) for t, c in zip(first, counts)
+        (x, tuple(det)): c for x, det, c in zip(x_code.tolist(), rows, counts.tolist())
     }
-    first, counts = _tally(np.column_stack((xs, z)))
-    blind_counts = {(int(xs[t]), int(z[t])): int(c) for t, c in zip(first, counts)}
-    columns = zip(xs.tolist(), ks.tolist(), detected.tolist(), ambiguity.tolist())
-    records = [
-        TrialRecord(start + t, x, k, sum(det), ModeConfig(tuple(det)), x if amb == 1 else None, amb)
-        for t, (x, k, det, amb) in enumerate(columns if collect else ())
-    ]
-    return keyed_counts, blind_counts, int((ambiguity == 1).sum()), records
+    d = dim_hilbert(config.m, n)
+    blind_first, blind_n, _ = _first_appearance(xs * d + z)
+    blind_counts = {
+        (int(xs[t]), int(z[t])): c for t, c in zip(blind_first.tolist(), blind_n.tolist())
+    }
+    records = []
+    if collect:
+        found = [ModeConfig(tuple(det)) for det in rows]
+        amb = ambiguity.tolist()
+        records = [
+            TrialRecord(start + t, x, k, found[c].n, found[c], x if amb[c] == 1 else None, amb[c])
+            for t, (x, k, c) in enumerate(zip(xs.tolist(), ks.tolist(), code_of.tolist()))
+        ]
+    return keyed_counts, blind_counts, int(counts[ambiguity == 1].sum()), records
+
+
+def _first_appearance(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """First index and count of each distinct value of ``keys``, in order of
+    first index, and the position of each key's value in that order."""
+    order, bounds = _runs(keys)
+    first, counts = order[bounds[:-1]], np.diff(bounds)
+    by_first = np.argsort(first)
+    rank = np.empty_like(by_first)
+    rank[by_first] = np.arange(len(by_first))
+    group_of = np.empty_like(order)
+    group_of[order] = np.repeat(rank, counts)
+    return first[by_first], counts[by_first], group_of
+
+
+def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stable sort order of non-negative integer ``keys`` and the bounds of its
+    runs of equal keys: run i is ``order[bounds[i]:bounds[i + 1]]``, first index first.
+
+    Keys are sorted as the narrowest unsigned type that holds them: numpy's
+    stable sort is a radix sort for 8- and 16-bit integers, on a 4096-trial
+    shard 5-10x faster than its merge sort of int64.
+    """
+    order = np.argsort(keys.astype(np.min_scalar_type(keys.max())), kind="stable")
+    sorted_keys = keys[order]
+    return order, np.flatnonzero(np.r_[True, sorted_keys[1:] != sorted_keys[:-1], True])
 
 
 def _photodetect(
@@ -253,35 +292,31 @@ def _photodetect(
     A diagnostic lower bound on the accessible information, with no claim
     of measurement optimality.  Each distinct (k, x) pair's distribution
     is computed once, for blocks of pairs whose permanent input fits
-    ``BLOCK_BYTES``.  Its trials draw by inverse CDF on their ``u``:
-    ``(cum < u).sum()`` is ``searchsorted(cum, u, side="left")``, clipped
-    to d - 1 as rounding may leave the last cumulative value below u.
+    ``BLOCK_BYTES``, in ascending pair order; one stable sort groups the
+    trials by pair.  Its trials draw by inverse CDF on their ``u``, as
+    ``searchsorted(cum, u, side="left")`` clipped to d - 1, since rounding
+    may leave the last cumulative value below u: with that value set to
+    infinity, the first cumulative value not below u is ``(cum < u).argmin()``.
     """
     M, n = modes.shape
     d = dim_hilbert(units.shape[1], n)
-    pairs, pair_of = np.unique(ks * M + xs, return_inverse=True)
-    order = np.argsort(pair_of, kind="stable")
-    bounds = np.searchsorted(pair_of[order], np.arange(len(pairs) + 1))  # pair i: bounds[i:i + 2]
+    key = ks * M + xs
+    order, bounds = _runs(key)
+    pairs = key[order[bounds[:-1]]]
+    pair_of = np.repeat(np.arange(len(pairs)), np.diff(bounds))  # pair of trial order[j]
     pair_step = max(1, BLOCK_BYTES // (16 * n * n * d))
     trial_step = max(1, BLOCK_BYTES // (8 * d))
     z = np.empty(len(xs), dtype=np.intp)
     for s in range(0, len(pairs), pair_step):
         block = pairs[s:s + pair_step]
         cum = np.cumsum(output_distributions(units, block // M, modes[block % M]), axis=1)
-        trials = order[bounds[s]:bounds[min(s + pair_step, len(pairs))]]
-        for c in range(0, len(trials), trial_step):
-            t = trials[c:c + trial_step]
-            z[t] = np.minimum((cum[pair_of[t] - s] < u[t, None]).sum(axis=1), d - 1)
+        cum[:, -1] = np.inf
+        end = bounds[min(s + pair_step, len(pairs))]
+        for c in range(bounds[s], end, trial_step):
+            j = slice(c, min(c + trial_step, end))
+            t = order[j]
+            z[t] = (cum[pair_of[j] - s] < u[t, None]).argmin(axis=1)
     return z
-
-
-def _tally(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """First index and count of each distinct row of ``keys``, by first index."""
-    order = np.lexsort(keys.T)  # stable: a run of equal rows starts at its first index
-    starts = np.flatnonzero(np.r_[True, (np.diff(keys[order], axis=0) != 0).any(axis=1)])
-    first, counts = order[starts], np.diff(np.r_[starts, len(keys)])
-    by_first = np.argsort(first)
-    return first[by_first], counts[by_first]
 
 
 def run_trials(

@@ -662,6 +662,14 @@ class TestConfigFile:
         assert f"{cfg}{message}" in err
         assert not (tmp_path / "c.csv").exists()
 
+    def test_config_holds_for_its_own_call_only(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed=13\n")
+        code, out, _ = run_cli(["dim", "3", "2", "--config", str(cfg)], capsys)
+        assert code == 0 and "seed=13" in out.splitlines()[0]
+        code, out, _ = run_cli(["dim", "3", "2"], capsys)
+        assert code == 0 and "seed=0" in out.splitlines()[0]
+
     def test_missing_config_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "absent.cfg"
         code, _, err = run_cli(["dim", "3", "2", "--config", str(cfg)], capsys)

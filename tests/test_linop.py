@@ -62,6 +62,13 @@ class TestPermanent:
             expected = naive_permanent(mat)
             assert abs(value - expected) <= 1e-10 * max(abs(expected), 1.0)
 
+    @pytest.mark.parametrize("k", range(1, 11))
+    def test_single_matrix_has_batch_bits(self, k):
+        rng = np.random.default_rng(100 + k)
+        stack = rng.standard_normal((7, k, k)) + 1j * rng.standard_normal((7, k, k))
+        for value, mat in zip(_permanent_batch(stack), stack):
+            assert permanent(mat) == value  # every bit, not approximately
+
     def test_compensated_branch_agrees(self):
         # k = 16 activates the compensated accumulation
         rng = np.random.default_rng(5)
@@ -263,22 +270,23 @@ class TestOutputDistribution:
             assert np.abs(got - expected).max() < 1e-9
 
     def test_blocks_change_no_bit(self, monkeypatch):
-        # d = 35 outputs of 5 inputs in blocks of 20, 7 and 4 outputs; one
-        # input alone then goes in blocks of 20.  No block holds a single
-        # matrix: the kernel's last bits for a batch of one differ from
-        # those for larger batches.
+        # d = 35 outputs of 5 inputs in blocks of 20, 7, 4 and 1 outputs; one
+        # input alone then goes in blocks of 20 outputs and of 1, a single
+        # matrix per kernel call.
         m, n = 5, 3
         units = haar_batch(np.random.default_rng(4), 3, m)
         keys = np.array([2, 0, 1, 2, 0])
         rows = np.array([[0, 1, 2], [0, 0, 4], [1, 3, 4], [2, 2, 2], [0, 1, 2]])
         whole = output_distributions(units, keys, rows)
-        for outputs in (20, 7, 4):
+        for outputs in (20, 7, 4, 1):
             monkeypatch.setattr(linop, "BLOCK_BYTES", 16 * n * n * len(keys) * outputs)
             assert np.array_equal(output_distributions(units, keys, rows), whole)
-        for i in (0, 2):
-            u = UnitaryMatrix(units[keys[i]])
-            cfg = ModeConfig(tuple(np.bincount(rows[i], minlength=m)))
-            assert np.array_equal(output_distribution(u, cfg), whole[i])
+        for outputs in (20, 1):
+            monkeypatch.setattr(linop, "BLOCK_BYTES", 16 * n * n * outputs)
+            for i in (0, 2):
+                u = UnitaryMatrix(units[keys[i]])
+                cfg = ModeConfig(tuple(np.bincount(rows[i], minlength=m)))
+                assert np.array_equal(output_distribution(u, cfg), whole[i])
 
     def test_cap(self, monkeypatch):
         monkeypatch.setattr(fock, "BASIS_CAP", 50)

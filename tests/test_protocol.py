@@ -393,6 +393,8 @@ ORACLE_GRID = [
     ProtocolConfig(m=8, n=3, K=64, eta=0.8, trials=1024, seed=24),
     ProtocolConfig(m=6, n=1, K=5, eta=0.7, trials=700, seed=25),
     ProtocolConfig(m=4, n=2, K=8, eta=0.5, trials=9000, seed=26),  # 3 shards
+    ProtocolConfig(m=70, n=2, K=2, eta=0.6, xi=0.05, trials=400, seed=27),  # m > 64
+    ProtocolConfig(m=12, n=4, K=4, eta=0.7, xi=0.6, trials=600, seed=28),  # M = 297
 ]
 
 
@@ -403,7 +405,7 @@ def _grid_id(c):
 class TestSimulatorOracle:
     @pytest.mark.parametrize("config", ORACLE_GRID, ids=_grid_id)
     def test_shards_match_loop(self, config):
-        for args in _shard_args(config, True):
+        for args in [*_shard_args(config, False), *_shard_args(config, True)]:
             got, want = protocol._run_shard(args), _loop_shard(args)
             # count tables equal in content and in insertion order
             assert list(got[0].items()) == list(want[0].items())
