@@ -24,8 +24,7 @@ import numpy as np
 
 from .errors import DomainError, ResourceError
 from .fock import log2_dim_hilbert, log2_num_codewords
-from .exact import two_gamma
-from .mc import log2_conjectured_c_min
+from .exact import max_two_gamma
 
 LN2 = math.log(2.0)
 
@@ -273,9 +272,10 @@ def rate_loss_curve(
 ) -> list[RatePoint]:
     """Loss-rate trade-off: maximise the net rate over n at each eta.
 
-    gamma is the exact 2*gamma_q of the bunched pattern (the conjectured
-    maximiser, ``exact.two_gamma(m, (n,))``); n = 1 uses the exact
-    single-photon value 2.  c_min is the exact 1/d.
+    gamma is ``exact.max_two_gamma``, the certified maximum of 2*gamma over
+    every state (an upper bound at the few small m where it is not
+    attained); n = 1 uses the single-photon value 2.  c_min is the exact
+    1/d: Sym^n is irreducible, so E[X_phi] = 1/d for every unit phi.
     """
     if m < 1:
         raise DomainError(f"need m >= 1, got {m}")
@@ -287,7 +287,7 @@ def rate_loss_curve(
     candidates = range(1, (m if n_max is None else min(n_max, m)) + 1)
     consumption = {
         n: key_consumption_rate(
-            2.0 if n == 1 else two_gamma(m, (n,)), m, n, log2_c_min=log2_conjectured_c_min(m, n)
+            2.0 if n == 1 else max_two_gamma(m, n)[0], m, n, log2_c_min=-log2_dim_hilbert(m, n)
         )
         for n in candidates
     }

@@ -31,7 +31,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .fock import PatternLike, PhotonPattern, as_pattern, log2_dim_hilbert
+from .fock import PatternLike, PhotonPattern, as_pattern
 from .linop import _neumaier_add, _permanent_batch, stiefel_batch
 
 CHUNK = 4096
@@ -326,25 +326,14 @@ def estimate_gamma_q(
     )
 
 
-def log2_conjectured_c_min(m: int, n: int) -> float:
-    """log2 of c_min = 1/d, which is exact rather than conjectured.
-
-    E[X_phi] = 1/d for every unit vector phi because Sym^n(C^m) is
-    irreducible, so the Haar twirl of any pure state is maximally mixed.
-    """
-    return -log2_dim_hilbert(m, n)
-
-
 def no_collision_values(m: int, n: int) -> tuple[float, float]:
-    """(c_min, gamma) in the diluted regime m >> n^2 >> 1.
+    """(log2 c_min, gamma) in the diluted regime m >> n^2 >> 1.
 
-    Returns (n!/m^n, 2(n+1)).  The single-photon case is exact rather
-    than asymptotic: the factor-2 penalty of the basis-vector reduction
-    is not needed there, so gamma = 2 and c_min = 1/m.
+    Returns (log2(n!/m^n), 2(n+1)), from exact integers, so m^n need not fit
+    a float.  The single-photon case is exact rather than asymptotic: the
+    factor-2 penalty of the basis-vector reduction is not needed there, so
+    gamma = 2 and c_min = 1/m.
     """
-    if n > m:
-        raise DomainError(f"need n <= m, got ({m}, {n})")
-    if n == 1:
-        return 1.0 / m, 2.0
-    return math.factorial(n) / float(m) ** n, 2.0 * (n + 1)
-
+    if m < 1 or not 0 <= n <= m:
+        raise DomainError(f"need m >= 1 and 0 <= n <= m, got ({m}, {n})")
+    return math.log2(math.factorial(n)) - n * math.log2(m), 2.0 if n == 1 else 2.0 * (n + 1)

@@ -16,12 +16,20 @@ estimators under test:
   collapses to a product of column entries, whose squared moduli are
   Dirichlet(1, ..., 1) distributed, giving a closed form at every n.
   Both routes agree where they overlap.
+* ``casimir_components`` splits Sym^n (x) Sym^n numerically, with no
+  Clebsch-Gordan algebra: the gl(m) Casimir sum_ij E_ij E_ji of the tensor
+  square acts on S_(n+L, n-L) as (n+L)(n+L+m-1) + (n-L)(n-L+m-3), distinct
+  in L, so ``eigh`` separates the components and D_L is a projector's rank.
+  ``casimir_second_moment`` then gives E|<phi|U|1^n>|^4 for any state phi
+  by Schur's lemma.  Reference: Fulton & Harris, Representation Theory
+  (1991), sections 6 and 15.3.
 * ``lossy_mi_bruteforce`` enumerates the loss channel's joint
   distribution directly.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from itertools import combinations
@@ -120,6 +128,56 @@ def exact_raw_c(m: int, n: int, q: PatternLike) -> Fraction:
     for part in q.parts:
         fac *= math.factorial(part)
     return Fraction(fac, math.comb(n + m - 1, n))
+
+
+@functools.lru_cache(maxsize=8)
+def casimir_components(m: int, n: int) -> tuple[list[tuple[int, ...]], dict[int, np.ndarray]]:
+    """Fock basis of Sym^n(C^m) and, per L, orthonormal columns spanning
+    S_(n+L, n-L) inside Sym^n (x) Sym^n (Kronecker order, first factor major)."""
+    basis = [cfg.occupations for cfg in enumerate_basis(m, n)]
+    index = {occ: k for k, occ in enumerate(basis)}
+    d = len(basis)
+    e = np.zeros((m, m, d, d))  # e[i, j] = a_i^dag a_j on Sym^n
+    for k, occ in enumerate(basis):
+        for i in range(m):
+            for j in range(m):
+                if occ[j]:
+                    new = list(occ)
+                    new[j] -= 1
+                    new[i] += 1
+                    e[i, j, index[tuple(new)], k] = math.sqrt(occ[j] * new[i])
+    one = np.eye(d)
+    c1 = sum(e[i, j] @ e[j, i] for i in range(m) for j in range(m))
+    # (E_ij x 1 + 1 x E_ij)(E_ji x 1 + 1 x E_ji), summed over i, j
+    casimir = np.kron(c1, one) + np.kron(one, c1)
+    casimir += 2 * sum(np.kron(e[i, j], e[j, i]) for i in range(m) for j in range(m))
+    values, vectors = np.linalg.eigh(casimir)
+    comps = {}
+    for L in range(n + 1):
+        at = np.abs(values - ((n + L) * (n + L + m - 1) + (n - L) * (n - L + m - 3))) < 0.5
+        if at.any():
+            comps[L] = vectors[:, at]
+    if sum(c.shape[1] for c in comps.values()) != d * d:
+        raise AssertionError(f"Casimir eigenvalues at ({m}, {n}) are not all of the form expected")
+    return basis, comps
+
+
+def casimir_weights(m: int, n: int, phi: np.ndarray) -> dict[int, np.ndarray]:
+    """w_L(phi) = |P_L (phi x phi)|^2 for unit vectors phi over the Fock basis
+    (the last axis), so a stack of states gives a stack of weights."""
+    _, comps = casimir_components(m, n)
+    phi = np.asarray(phi)
+    v = (phi[..., :, None] * phi[..., None, :]).reshape(*phi.shape[:-1], -1)
+    return {L: np.linalg.norm(v @ cols, axis=-1) ** 2 for L, cols in comps.items()}
+
+
+def casimir_second_moment(m: int, n: int, phi: np.ndarray) -> np.ndarray:
+    """E|<phi|U|1^n>|^4 = sum_L w_L(phi) w_L(1^n) / D_L(m) over Haar U."""
+    basis, comps = casimir_components(m, n)
+    ones = np.zeros(len(basis))
+    ones[basis.index((1,) * n + (0,) * (m - n))] = 1.0
+    w_phi, w_ones = casimir_weights(m, n, phi), casimir_weights(m, n, ones)
+    return sum(w_phi[L] * w_ones[L] / cols.shape[1] for L, cols in comps.items())
 
 
 def lossy_mi_bruteforce(m: int, n: int, eta: float) -> float:

@@ -19,12 +19,13 @@ from qdl_lab.fock import (
     dim_hilbert,
     enumerate_basis,
     enumerate_patterns,
+    log2_dim_hilbert,
     log2_num_codewords,
     num_codewords,
     sample_codebook,
 )
 from qdl_lab.linop import haar_unitary, output_distribution
-from qdl_lab.mc import log2_conjectured_c_min, no_collision_values
+from qdl_lab.mc import no_collision_values
 from qdl_lab.protocol import decode_with_key, gen_unitary_pool
 
 
@@ -34,10 +35,8 @@ def _report(criterion: int, ok: bool, detail: str) -> None:
 
 def test_criterion_01_key_size_worked_example():
     t0 = time.perf_counter()
-    c_min, gamma = no_collision_values(8000, 20)
-    rep = bounds.k_epsilon_single(
-        8000, 20, xi=0.01, epsilon=1e-10, gamma=gamma, log2_c_min=math.log2(c_min)
-    )
+    log2_c_min, gamma = no_collision_values(8000, 20)
+    rep = bounds.k_epsilon_single(8000, 20, xi=0.01, epsilon=1e-10, gamma=gamma, log2_c_min=log2_c_min)
     elapsed = time.perf_counter() - t0
     ok = (
         gamma == 42.0
@@ -59,7 +58,7 @@ def test_criterion_02_asymptotic_rate_example():
     log2_C = log2_num_codewords(30, 10)
     log2_d_over_C = bounds.log2_dim_hilbert(30, 10) - log2_C
     gamma_ref = reference.TABLE_V[(30, 10)]  # shipped reference value 111.5
-    k = bounds.key_consumption_rate(gamma_ref, 30, 10, log2_c_min=log2_conjectured_c_min(30, 10))
+    k = bounds.key_consumption_rate(gamma_ref, 30, 10, log2_c_min=-log2_dim_hilbert(30, 10))
     r = log2_C - k
     elapsed = time.perf_counter() - t0
     ok = (

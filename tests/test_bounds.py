@@ -17,26 +17,24 @@ from qdl_lab.bounds import (
     rate_loss_curve,
 )
 from qdl_lab.errors import DomainError, ResourceError
-from qdl_lab.fock import dim_hilbert, log2_num_codewords, num_codewords
-from qdl_lab.mc import log2_conjectured_c_min, no_collision_values
+from qdl_lab.fock import dim_hilbert, log2_dim_hilbert, log2_num_codewords, num_codewords
+from qdl_lab.mc import no_collision_values
 
 LN2 = math.log(2.0)
 
 
 class TestKeySizeSingle:
     def test_worked_example(self):
-        c_min, gamma = no_collision_values(8000, 20)
-        rep = k_epsilon_single(
-            8000, 20, xi=0.01, epsilon=1e-10, gamma=gamma, log2_c_min=math.log2(c_min)
-        )
+        log2_c_min, gamma = no_collision_values(8000, 20)
+        rep = k_epsilon_single(8000, 20, xi=0.01, epsilon=1e-10, gamma=gamma, log2_c_min=log2_c_min)
         assert gamma == 42.0
         assert rep.log2_M == pytest.approx(192, abs=1)
         assert rep.log2_K_epsilon == pytest.approx(127, abs=1)
         assert rep.active_branch == "maurer"
 
     def test_single_photon_regime(self):
-        c_min, gamma = no_collision_values(64, 1)
-        rep = k_epsilon_single(64, 1, xi=1.0, epsilon=1e-3, gamma=gamma, c_min=c_min)
+        log2_c_min, gamma = no_collision_values(64, 1)
+        rep = k_epsilon_single(64, 1, xi=1.0, epsilon=1e-3, gamma=gamma, log2_c_min=log2_c_min)
         assert gamma == 2.0
         assert rep.log2_M == pytest.approx(6.0)
         assert rep.log2_K_epsilon > 0
@@ -76,7 +74,7 @@ class TestKeySizeSingle:
     def test_branch_consistency_random(self, m, n, eps, gamma):
         if n > m:
             return
-        rep = k_epsilon_single(m, n, xi=1.0, epsilon=eps, gamma=gamma, log2_c_min=log2_conjectured_c_min(m, n))
+        rep = k_epsilon_single(m, n, xi=1.0, epsilon=eps, gamma=gamma, log2_c_min=-log2_dim_hilbert(m, n))
         assert rep.log2_K_epsilon == max(rep.log2_maurer, rep.log2_chernoff)
 
     def test_appendix_condition_regrouping(self):
@@ -119,7 +117,7 @@ class TestKeySizeMulti:
         # at nu = 1 only the printed constants differ (512 vs 256, 64 vs 32),
         # i.e. the heavy-tail branch doubles and the Chernoff branch matches
         m, n, xi, eps, gamma = 6, 2, 0.5, 0.05, 4.0
-        l2c = log2_conjectured_c_min(m, n)
+        l2c = -log2_dim_hilbert(m, n)
         single = k_epsilon_single(m, n, xi=xi, epsilon=eps, gamma=gamma, log2_c_min=l2c)
         multi = k_epsilon_multi(m, n, 1, xi, eps, gamma, log2_c_min=l2c)
         assert multi.log2_maurer == pytest.approx(single.log2_maurer + 1.0, rel=1e-12)
@@ -127,7 +125,7 @@ class TestKeySizeMulti:
 
     def test_rate_limit_matches_consumption(self):
         m, n, gamma = 30, 10, 111.5
-        l2c = log2_conjectured_c_min(m, n)
+        l2c = -log2_dim_hilbert(m, n)
         k = key_consumption_rate(gamma, m, n, log2_c_min=l2c)
         nu = 10**6
         rep = k_epsilon_multi(m, n, nu, 0.01, 1e-8, gamma, log2_c_min=l2c)
@@ -137,7 +135,7 @@ class TestKeySizeMulti:
         # log2 K(nu) = nu*k + log2(nu) + const + o(1), so the doubling gap
         # minus nu*k converges to exactly 1 bit
         m, n, gamma = 10, 3, 7.0
-        l2c = log2_conjectured_c_min(m, n)
+        l2c = -log2_dim_hilbert(m, n)
         k = key_consumption_rate(gamma, m, n, log2_c_min=l2c)
         gaps = []
         for nu in (10_000, 20_000, 40_000):
@@ -150,7 +148,7 @@ class TestKeySizeMulti:
 
 class TestConsumptionRate:
     def test_worked_example_30_10(self):
-        l2c = log2_conjectured_c_min(30, 10)
+        l2c = -log2_dim_hilbert(30, 10)
         assert log2_num_codewords(30, 10) == pytest.approx(24.84, abs=0.05)
         k = key_consumption_rate(111.5, 30, 10, log2_c_min=l2c)
         assert k == pytest.approx(11.2, abs=0.1)
@@ -158,7 +156,7 @@ class TestConsumptionRate:
     def test_branch_order_with_conjectured_c(self):
         # with c_min = 1/d the Chernoff branch log2(d/C) can never win
         for m, n in [(6, 2), (10, 3), (30, 10)]:
-            l2c = log2_conjectured_c_min(m, n)
+            l2c = -log2_dim_hilbert(m, n)
             k_low = key_consumption_rate(1.0, m, n, log2_c_min=l2c)
             k_high = key_consumption_rate(50.0, m, n, log2_c_min=l2c)
             assert k_high > k_low
@@ -209,7 +207,7 @@ class TestNetRate:
         # with no information credit the best n is the one whose key is cheapest
         def k(n):
             gamma = 2.0 if n == 1 else exact_two_gamma(10, n, (n,))
-            return key_consumption_rate(gamma, 10, n, log2_c_min=log2_conjectured_c_min(10, n))
+            return key_consumption_rate(gamma, 10, n, log2_c_min=-log2_dim_hilbert(10, n))
 
         (p,) = rate_loss_curve(10, [0.8], beta=0.0, n_max=3)
         assert p.rate == -min(k(n) for n in (1, 2, 3)) <= 0
@@ -232,16 +230,16 @@ class TestRateLossCurve:
         (point,) = rate_loss_curve(30, [1.0])
         n = point.best_n
         gamma = exact_two_gamma(30, n, (n,))
-        k = key_consumption_rate(gamma, 30, n, log2_c_min=log2_conjectured_c_min(30, n))
+        k = key_consumption_rate(gamma, 30, n, log2_c_min=-log2_dim_hilbert(30, n))
         assert point.rate == log2_num_codewords(30, n) - k
 
     def test_rate_is_net_of_consumption(self):
-        # each point's rate is beta * I(eta) - k at its best n, k from the exact bunched gamma
+        # each point's rate is beta * I(eta) - k at its best n, k from the certified maximum gamma
         beta = 0.8
         for p in rate_loss_curve(12, [0.5, 0.9], beta=beta, n_max=6):
             n = p.best_n
             gamma = 2.0 if n == 1 else exact_two_gamma(12, n, (n,))
-            k = key_consumption_rate(gamma, 12, n, log2_c_min=log2_conjectured_c_min(12, n))
+            k = key_consumption_rate(gamma, 12, n, log2_c_min=-log2_dim_hilbert(12, n))
             assert p.rate == beta * mutual_info_lossy(12, n, p.eta) - k
 
     def test_sweep_cap(self):

@@ -10,7 +10,7 @@ import types
 import pytest
 
 from oracles import exact_raw_c, exact_two_gamma
-from qdl_lab import cli, mc, protocol
+from qdl_lab import bounds, cli, mc, protocol
 from qdl_lab.errors import DomainError
 
 
@@ -187,6 +187,32 @@ class TestKeysize:
         svg = (tmp_path / "fig2.svg").read_text()
         assert svg.count("<polyline") == 2 and "log2 K_eps" in svg
 
+    def test_no_collision_past_float_range(self, capsys):
+        # m^n = 1000^200 overflows a float; c_min goes through as its log2
+        code, out, err = run_cli(["keysize", "1000", "200", "--eps", "0.1"], capsys)
+        assert code == 0 and err == ""
+        log2_c_min = math.log2(math.factorial(200)) - math.log2(1000**200)
+        rep = bounds.k_epsilon_single(1000, 200, xi=1.0, epsilon=0.1, gamma=402.0, log2_c_min=log2_c_min)
+        assert f"log2_K_epsilon  = {rep.log2_K_epsilon:.3f}" in out
+
+    def test_fig2_past_float_range(self, tmp_path, capsys):
+        out_path = tmp_path / "fig2.csv"
+        code, _, _ = run_cli(["keysize", "--fig2", "--n-max", "60", "--out", str(out_path)], capsys)
+        assert code == 0
+        rows = [line.split(",") for line in out_path.read_text().splitlines()[2:]]
+        assert [int(r[0]) for r in rows] == list(range(2, 61))
+        assert all(math.isfinite(float(v)) for r in rows for v in r[2:5])
+
+    def test_fig2_sweep_cap(self, tmp_path, capsys):
+        out_path = tmp_path / "fig2.csv"
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            ["keysize", "--fig2", "--n-max", str(cli.FIG2_N_MAX + 1), "--out", str(out_path)], capsys
+        )
+        assert code == 4 and out == ""
+        assert f"sweeps n up to at most {cli.FIG2_N_MAX}" in err
+        assert not out_path.exists() and time.perf_counter() - start < 1.0
+
     def test_fig2_selecting_no_n_usage_error(self, tmp_path, capsys):
         out_path = tmp_path / "fig2.csv"
         code, _, err = run_cli(["keysize", "--fig2", "--n-max", "1", "--out", str(out_path)], capsys)
@@ -222,13 +248,14 @@ class TestKeysize:
         assert code == 0
         gamma = out_path.read_text().splitlines()[2].split(",")[5]
         assert float(gamma) == exact_two_gamma(7, 2, (2,))
-        assert "gamma from exact: 4.978 at q=2 (exhaustive)" in err
+        assert "gamma from exact: 4.978 (certified maximum over all states)" in err
 
     def test_exact_source_non_bunched_maximiser(self, capsys):
+        # at (2, 2) no state reaches the bound B = 6 (the best pattern, 1-1, has 3.6)
         code, out, err = run_cli(["keysize", "2", "2", "--eps", "0.1", "--gamma-source", "exact"], capsys)
         assert code == 0
-        assert "gamma from exact: 3.6 at q=1-1 (exhaustive)" in err
-        assert "log2_K_epsilon  = 24.076" in out
+        assert "gamma from exact: 6 (upper bound, not attained; argmax L = 0)" in err
+        assert "log2_K_epsilon  = 24.813" in out
 
     def test_exact_source_worked_example(self, capsys):
         start = time.perf_counter()
@@ -237,7 +264,7 @@ class TestKeysize:
             capsys,
         )
         assert code == 0
-        assert "at q=20 (exhaustive)" in err
+        assert "(certified maximum over all states)" in err
         assert "log2_K_epsilon  = 142.651" in out
         assert time.perf_counter() - start < 3.0
 

@@ -11,12 +11,11 @@ import pytest
 from oracles import exact_mean, exact_second_moment, exact_two_gamma
 from qdl_lab import cache, exact, mc
 from qdl_lab.errors import DomainError
-from qdl_lab.fock import PhotonPattern, dim_hilbert, enumerate_patterns
+from qdl_lab.fock import PhotonPattern, dim_hilbert, enumerate_patterns, log2_dim_hilbert
 from qdl_lab.mc import (
     estimate_gamma_q,
     estimate_moments,
     estimate_raw_c_q,
-    log2_conjectured_c_min,
     no_collision_values,
 )
 
@@ -295,18 +294,26 @@ class TestThreadMap:
 
 
 class TestClosedForms:
-    def test_conjectured_c_min(self):
-        assert log2_conjectured_c_min(6, 2) == pytest.approx(math.log2(1 / 21))
-        assert log2_conjectured_c_min(8000, 20) == pytest.approx(-198.27, abs=0.05)
+    def test_exact_c_min(self):
+        # c_min = 1/d is exact: Sym^n is irreducible, so E[X_phi] = 1/d
+        assert -log2_dim_hilbert(6, 2) == pytest.approx(math.log2(1 / 21))
+        assert -log2_dim_hilbert(8000, 20) == pytest.approx(-198.27, abs=0.05)
 
     def test_no_collision_values(self):
-        c, g = no_collision_values(20, 2)
-        assert c == pytest.approx(2 / 400)
+        l2c, g = no_collision_values(20, 2)
+        assert l2c == pytest.approx(math.log2(2 / 400))
         assert g == 6.0
+        # m^n overflows a float here; the log2 of the exact integers does not
+        l2c, g = no_collision_values(1000, 200)
+        assert l2c == pytest.approx(math.log2(math.factorial(200)) - math.log2(1000**200), rel=1e-12)
+        assert g == 402.0
+        for m, n in [(3, 4), (0, 0), (3, -1)]:
+            with pytest.raises(DomainError):
+                no_collision_values(m, n)
 
     def test_single_photon_exact(self):
-        c, g = no_collision_values(17, 1)
-        assert c == pytest.approx(1 / 17)
+        l2c, g = no_collision_values(17, 1)
+        assert l2c == pytest.approx(math.log2(1 / 17))
         assert g == 2.0
 
     def test_exact_oracle_selfconsistency(self):
