@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -155,26 +155,29 @@ def _compatible(codewords: np.ndarray, detected: np.ndarray) -> np.ndarray:
     return (detected[:, None, :] <= codewords[None, :, :]).all(axis=2)
 
 
-def empirical_mutual_info(counts: Mapping) -> float:
+def empirical_mutual_info(x, y, counts) -> float:
     """Plug-in estimate of I(X;Y) in bits from a joint count table.
 
-    ``counts`` maps each (x, y) pair to its count.
+    Entry i of the table is the pair ``(x[i], y[i])`` with count
+    ``counts[i]``.  Labels may be any integers: both sides are relabelled by
+    ``np.unique``, so memory follows the number of entries, and repeated
+    pairs add up.
     """
-    items = [(key, float(c)) for key, c in counts.items() if c]
-    if any(c < 0 for _, c in items):
+    c = np.asarray(counts, dtype=float)
+    if (c < 0).any():
         raise DomainError("counts must be non-negative")
-    total = sum(c for _, c in items)
+    total = c.sum()
     if total <= 0:
         raise DomainError("count table is empty")
-    px: dict = {}
-    py: dict = {}
-    for (x, y), c in items:
-        px[x] = px.get(x, 0.0) + c
-        py[y] = py.get(y, 0.0) + c
-    acc = 0.0
-    for (x, y), c in items:
-        acc += c / total * math.log2(c * total / (px[x] * py[y]))
-    return max(acc, 0.0)
+    _, xi = np.unique(x, return_inverse=True)
+    ys, yi = np.unique(y, return_inverse=True)
+    pairs, pair = np.unique(xi * len(ys) + yi, return_inverse=True)
+    joint = np.bincount(pair, weights=c)
+    px = np.bincount(xi, weights=c)[pairs // len(ys)]
+    py = np.bincount(yi, weights=c)[pairs % len(ys)]
+    nz = joint > 0
+    acc = (joint[nz] / total * np.log2(joint[nz] * total / (px[nz] * py[nz]))).sum()
+    return max(float(acc), 0.0)
 
 
 def _process_map(fn: Callable, tasks: Sequence, workers: int) -> list:
@@ -201,7 +204,7 @@ def _process_map(fn: Callable, tasks: Sequence, workers: int) -> list:
 
 def _run_shard(
     args: tuple[ProtocolConfig, np.ndarray, np.ndarray, int, int, int, bool]
-) -> tuple[dict, dict, int, list[TrialRecord]]:
+) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray], int, list[TrialRecord]]:
     """Trials ``start .. start+count-1``, as array operations over the shard.
 
     ``occ`` is the (M, m) int8 codeword occupancy matrix and ``units`` the
@@ -209,13 +212,14 @@ def _run_shard(
     The shard's stream ``[seed, 3, shard_idx]`` draws messages, keys,
     blind uniforms and loss masks, in that order.  A trial's detected
     configuration depends only on its message x and on which of its n
-    photons survive, so trials are grouped once by ``x << n | kept-slot
-    bits``, and every code is decoded once: the codewords that hold each
-    distinct detected row are counted, for blocks of rows of at most
-    ``BLOCK_BYTES`` comparisons, and a lone compatible codeword is the
-    sent one.  Blind outcomes come from ``_photodetect``.  Count tables
-    list their keys in order of first appearance, as a per-trial loop
-    would fill them; per-trial columns are built only for ``collect``.
+    photons survive, so trials are counted once per keyed code ``x << n |
+    kept-slot bits``, and every code is decoded once: the codewords that
+    hold each code's detected row are counted, for blocks of rows of at most
+    ``BLOCK_BYTES`` comparisons, and a lone compatible codeword is the sent
+    one.  Blind outcomes z come from ``_photodetect`` and are counted by
+    blind code ``x * d + z``.  Returns the keyed and the blind count table,
+    each as its ascending distinct codes and their counts, the number of
+    correctly decoded trials and, only for ``collect``, the per-trial records.
     """
     config, occ, units, shard_idx, start, count, collect = args
     rng = np.random.default_rng([config.seed, 3, shard_idx])
@@ -227,48 +231,44 @@ def _run_shard(
     keep = rng.random(size=(count, n)) < config.eta
 
     modes = np.nonzero(occ)[1].reshape(M, n)  # loss-mask slot -> mode
-    first, counts, code_of = _first_appearance(xs << n | keep @ (1 << np.arange(n)))
-    x_code = xs[first]
-    detected = occ[x_code]
-    lost_c, lost_slot = np.nonzero(~keep[first])
-    detected[lost_c, modes[x_code[lost_c], lost_slot]] = 0
+    trial_codes = xs << n | keep @ (1 << np.arange(n))
+    codes, counts = _tally(trial_codes, np.ones_like(trial_codes))
+    detected = _detected(occ, modes, codes)
     step = max(1, BLOCK_BYTES // (M * config.m))
     ambiguity = np.concatenate(
-        [_compatible(occ, detected[s:s + step]).sum(axis=1) for s in range(0, len(first), step)]
+        [_compatible(occ, detected[s:s + step]).sum(axis=1) for s in range(0, len(codes), step)]
     )
     z = _photodetect(units, modes, xs, ks, u_blind)
+    blind = _tally(xs * dim_hilbert(config.m, n) + z, np.ones_like(z))
 
-    rows = detected.tolist()
-    keyed_counts = {
-        (x, tuple(det)): c for x, det, c in zip(x_code.tolist(), rows, counts.tolist())
-    }
-    d = dim_hilbert(config.m, n)
-    blind_first, blind_n, _ = _first_appearance(xs * d + z)
-    blind_counts = {
-        (int(xs[t]), int(z[t])): c for t, c in zip(blind_first.tolist(), blind_n.tolist())
-    }
     records = []
     if collect:
-        found = [ModeConfig(tuple(det)) for det in rows]
+        found = [ModeConfig(tuple(det)) for det in detected.tolist()]
         amb = ambiguity.tolist()
+        code_of = np.searchsorted(codes, trial_codes).tolist()
         records = [
             TrialRecord(start + t, x, k, found[c].n, found[c], x if amb[c] == 1 else None, amb[c])
-            for t, (x, k, c) in enumerate(zip(xs.tolist(), ks.tolist(), code_of.tolist()))
+            for t, (x, k, c) in enumerate(zip(xs.tolist(), ks.tolist(), code_of))
         ]
-    return keyed_counts, blind_counts, int(counts[ambiguity == 1].sum()), records
+    return (codes, counts), blind, int(counts[ambiguity == 1].sum()), records
 
 
-def _first_appearance(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """First index and count of each distinct value of ``keys``, in order of
-    first index, and the position of each key's value in that order."""
-    order, bounds = _runs(keys)
-    first, counts = order[bounds[:-1]], np.diff(bounds)
-    by_first = np.argsort(first)
-    rank = np.empty_like(by_first)
-    rank[by_first] = np.arange(len(by_first))
-    group_of = np.empty_like(order)
-    group_of[order] = np.repeat(rank, counts)
-    return first[by_first], counts[by_first], group_of
+def _detected(occ: np.ndarray, modes: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """Detected occupancy row of each keyed code ``x << n | kept-slot bits``:
+    codeword x's row of ``occ`` with the modes of its lost slots cleared."""
+    n = modes.shape[1]
+    x = codes >> n
+    rows = occ[x]
+    lost_c, lost_slot = np.nonzero((codes[:, None] >> np.arange(n)) & 1 == 0)
+    rows[lost_c, modes[x[lost_c], lost_slot]] = 0
+    return rows
+
+
+def _tally(codes: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of non-negative integer ``codes``, ascending, and
+    the sum of ``counts`` over each."""
+    order, bounds = _runs(codes)
+    return codes[order[bounds[:-1]]], np.add.reduceat(counts[order], bounds[:-1])
 
 
 def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -332,9 +332,11 @@ def run_trials(
     streams, and ``_process_map`` maps the shards over up to ``workers``
     processes, so the transcript is identical for any worker count.  Each
     shard runs as one batched pass (``_run_shard``) whose temporaries are
-    bounded by ``linop.BLOCK_BYTES`` per block.  The summary carries
-    plug-in mutual-information estimates for the keyed receiver and for
-    a key-blind photodetector, with their standard bias bounds.
+    bounded by ``linop.BLOCK_BYTES`` per block.  The shards' count tables
+    are merged by code in one sort, and the merged keyed codes' detected
+    rows get integer labels from one ``np.unique`` over rows.  The summary
+    carries plug-in mutual-information estimates for the keyed receiver and
+    for a key-blind photodetector, with their standard bias bounds.
 
     trials * d above ``DEFAULT_BUDGET``, a codebook above
     ``fock.CODEBOOK_CAP``, a basis above ``fock.BASIS_CAP`` and a pool
@@ -356,23 +358,14 @@ def run_trials(
         (config, occ, units, idx, start, min(SHARD, config.trials - start), collect_records)
         for idx, start in enumerate(range(0, config.trials, SHARD))
     ]
-    parts = _process_map(_run_shard, shards, workers)
+    keyed, blind, successes, records = zip(*_process_map(_run_shard, shards, workers))
+    keyed_codes, keyed_n = _tally(*map(np.concatenate, zip(*keyed)))
+    blind_codes, blind_n = _tally(*map(np.concatenate, zip(*blind)))
+    modes = np.nonzero(occ)[1].reshape(M, config.n)
+    _, keyed_y = np.unique(_detected(occ, modes, keyed_codes), axis=0, return_inverse=True)
+    _, blind_y = np.unique(blind_codes % d, return_inverse=True)
 
-    keyed_counts: dict = {}
-    blind_counts: dict = {}
-    successes = 0
-    records: list[TrialRecord] = []
-    for kc, bc, succ, recs in parts:
-        for key, c in kc.items():
-            keyed_counts[key] = keyed_counts.get(key, 0) + c
-        for key, c in bc.items():
-            blind_counts[key] = blind_counts.get(key, 0) + c
-        successes += succ
-        records.extend(recs)
-
-    n_keyed_y = len({y for _, y in keyed_counts})
-    n_blind_y = len({y for _, y in blind_counts})
-    bias = lambda ny: (M - 1) * (ny - 1) / (2.0 * config.trials * LN2)
+    bias = lambda y: (M - 1) * int(y.max()) / (2.0 * config.trials * LN2)  # labels 0 .. ny - 1
     return TrialSummary(
         m=config.m,
         n=config.n,
@@ -382,10 +375,10 @@ def run_trials(
         eta=config.eta,
         trials=config.trials,
         seed=config.seed,
-        keyed_success_rate=successes / config.trials,
-        keyed_mi_bits=empirical_mutual_info(keyed_counts),
-        blind_mi_bits=empirical_mutual_info(blind_counts),
-        keyed_bias_bound=bias(n_keyed_y),
-        blind_bias_bound=bias(n_blind_y),
-        records=tuple(records) if collect_records else None,
+        keyed_success_rate=sum(successes) / config.trials,
+        keyed_mi_bits=empirical_mutual_info(keyed_codes >> config.n, keyed_y, keyed_n),
+        blind_mi_bits=empirical_mutual_info(blind_codes // d, blind_y, blind_n),
+        keyed_bias_bound=bias(keyed_y),
+        blind_bias_bound=bias(blind_y),
+        records=tuple(r for recs in records for r in recs) if collect_records else None,
     )

@@ -1,5 +1,6 @@
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -195,9 +196,17 @@ class TestLossyMutualInfo:
             mutual_info_lossy(4, 2, 1.2)
         with pytest.raises(DomainError):
             mutual_info_lossy(2, 4, 0.5)
-        # binomial weights C(1030, k) overflow a float
-        with pytest.raises(DomainError, match="n <= 1029"):
-            mutual_info_lossy(2000, 1030, 0.5)
+
+    def test_weights_past_float_range(self):
+        # C(1030, k) overflows a float; the weights are taken in log space.
+        # Reference: the exact rational sum of C(n, k) 2^-n log2 C(m-k, n-k)
+        m, n = 2000, 1030
+        acc = math.fsum(
+            float(Fraction(math.comb(n, k), 2**n)) * math.log2(math.comb(m - k, n - k))
+            for k in range(n + 1)
+        )
+        want = math.log2(math.comb(m, n)) - acc
+        assert mutual_info_lossy(m, n, 0.5) == pytest.approx(want, rel=1e-12)
 
 
 class TestNetRate:
@@ -243,8 +252,7 @@ class TestRateLossCurve:
             assert p.rate == beta * mutual_info_lossy(12, n, p.eta) - k
 
     def test_sweep_cap(self):
-        # n = 1029 at one eta is the largest sweep admitted, and the last n
-        # whose loss sum stays in float range
+        # n = 1029 at one eta is the largest sweep admitted
         check_rate_sweep([1029], None, 1)
         assert math.isfinite(mutual_info_lossy(2000, 1029, 0.5))
         for m_list, n_max, steps in [([1030], None, 1), ([2000], None, 2), ([10, 10**6], 300, 26)]:

@@ -161,33 +161,48 @@ class TestEavesdrop:
         assert 0 <= z.min() and z.max() < dim_hilbert(5, 2)
 
 
+def _mi(table):
+    """empirical_mutual_info of a {(x, y): count} table, as its three columns."""
+    return empirical_mutual_info(*(list(col) for col in zip(*table)), list(table.values()))
+
+
 class TestEmpiricalMI:
     def test_identity_uniform(self):
         counts = {(i, i): 25 for i in range(4)}
-        assert empirical_mutual_info(counts) == pytest.approx(2.0)
+        assert _mi(counts) == pytest.approx(2.0)
 
     def test_independent_uniform(self):
         counts = {(i, j): 10 for i in range(3) for j in range(3)}
-        assert empirical_mutual_info(counts) == pytest.approx(0.0, abs=1e-12)
+        assert _mi(counts) == pytest.approx(0.0, abs=1e-12)
 
     def test_hand_value(self):
         counts = {(0, 0): 2, (0, 1): 1, (1, 0): 1, (1, 1): 2}
-        assert empirical_mutual_info(counts) == pytest.approx(0.0817, abs=5e-5)
+        assert _mi(counts) == pytest.approx(0.0817, abs=5e-5)
 
     def test_rejects_empty(self):
         with pytest.raises(DomainError):
-            empirical_mutual_info({})
+            empirical_mutual_info([], [], [])
         with pytest.raises(DomainError):
-            empirical_mutual_info({(0, 0): 0, (1, 1): 0})
+            _mi({(0, 0): 0, (1, 1): 0})
 
     def test_rejects_negative_counts(self):
         with pytest.raises(DomainError):
-            empirical_mutual_info({(0, 0): 3, (0, 1): -1})
+            _mi({(0, 0): 3, (0, 1): -1})
+
+    def test_huge_labels(self):
+        # labels are relabelled, so a table indexed by them would need 10^12 cells
+        big = 10**12
+        counts = {(big + i, 3 * big + i): 25 for i in range(4)}
+        assert _mi(counts) == pytest.approx(2.0)
+
+    def test_repeated_pairs_merge(self):
+        x, y, c = [0, 1, 0, 1, 0], [0, 1, 0, 0, 1], [1, 2, 1, 1, 1]
+        assert empirical_mutual_info(x, y, c) == _mi({(0, 0): 2, (0, 1): 1, (1, 0): 1, (1, 1): 2})
 
     @given(st.integers(2, 6))
     def test_deterministic_permutation_table(self, k):
         counts = {(i, (i + 1) % k): 7 for i in range(k)}
-        assert empirical_mutual_info(counts) == pytest.approx(math.log2(k))
+        assert _mi(counts) == pytest.approx(math.log2(k))
 
     @given(
         st.lists(
@@ -200,7 +215,7 @@ class TestEmpiricalMI:
         counts: dict = {}
         for x, y, c in triples:
             counts[(x, y)] = counts.get((x, y), 0) + c
-        mi = empirical_mutual_info(counts)
+        mi = _mi(counts)
         nx = len({x for x, _ in counts})
         ny = len({y for _, y in counts})
         assert 0.0 <= mi <= min(math.log2(nx), math.log2(ny)) + 1e-9
@@ -386,6 +401,25 @@ def _loop_shard(args):
     return keyed_counts, blind_counts, successes, records
 
 
+def _loop_arrays(args):
+    """``_loop_shard`` with its count dicts turned into the batched shard's
+    tables: ascending keyed codes ``x << n | kept-slot bits`` or blind codes
+    ``x * d + z``, and their counts."""
+    config, occ = args[0], args[1]
+    keyed, blind, successes, records = _loop_shard(args)
+    modes = np.nonzero(occ)[1].reshape(len(occ), config.n)
+    d = dim_hilbert(config.m, config.n)
+
+    def kept(x, detected):
+        return x << config.n | sum(1 << j for j, mode in enumerate(modes[x]) if detected[mode])
+
+    def table(counts, code):
+        rows = sorted((code(*key), c) for key, c in counts.items())
+        return tuple(np.array(col, dtype=np.int64) for col in zip(*rows))
+
+    return table(keyed, kept), table(blind, lambda x, z: x * d + z), successes, records
+
+
 ORACLE_GRID = [
     ProtocolConfig(m=4, n=2, K=1, eta=1.0, trials=600, seed=21),
     ProtocolConfig(m=5, n=2, K=6, eta=0.5, xi=0.6, trials=1500, seed=22),
@@ -406,17 +440,16 @@ class TestSimulatorOracle:
     @pytest.mark.parametrize("config", ORACLE_GRID, ids=_grid_id)
     def test_shards_match_loop(self, config):
         for args in [*_shard_args(config, False), *_shard_args(config, True)]:
-            got, want = protocol._run_shard(args), _loop_shard(args)
-            # count tables equal in content and in insertion order
-            assert list(got[0].items()) == list(want[0].items())
-            assert list(got[1].items()) == list(want[1].items())
+            got, want = protocol._run_shard(args), _loop_arrays(args)
+            for table in (0, 1):  # distinct codes and their counts
+                assert [col.tolist() for col in got[table]] == [col.tolist() for col in want[table]]
             assert got[2] == want[2]
             assert got[3] == want[3]
 
     @pytest.mark.parametrize("collect", [False, True])
     @pytest.mark.parametrize("config", ORACLE_GRID, ids=_grid_id)
     def test_summary_matches_loop(self, config, collect, monkeypatch):
-        monkeypatch.setattr(protocol, "_run_shard", _loop_shard)
+        monkeypatch.setattr(protocol, "_run_shard", _loop_arrays)
         want = run_trials(config, collect_records=collect)
         monkeypatch.undo()
         mi = ("keyed_mi_bits", "blind_mi_bits")
