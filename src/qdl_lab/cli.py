@@ -348,6 +348,23 @@ def _keysize_gamma(args: argparse.Namespace, m: int, n: int) -> tuple[float, flo
     return gamma, log2_c_min
 
 
+def _fig2_epsilons(ns: range, s: float) -> list[float]:
+    """The default --fig2 epsilon 2^(-n^s) of each n, refused from the first n where it is 0 in floats."""
+    out = []
+    for n in ns:
+        try:
+            eps = 2.0 ** -(n**s)
+        except OverflowError:  # n^s itself past float range
+            eps = 0.0
+        if eps == 0.0:
+            raise DomainError(
+                f"--fig2's epsilon 2^(-n^s) is below the smallest float from n = {n} at --s {s:g}; "
+                "lower --n-max or --s, or pass --eps"
+            )
+        out.append(eps)
+    return out
+
+
 def cmd_keysize(args: argparse.Namespace) -> int:
     seed = args.seed if args.seed is not None else 0
     if args.fig2:
@@ -355,10 +372,11 @@ def cmd_keysize(args: argparse.Namespace) -> int:
             raise DomainError(f"--fig2 sweeps n from 2, so it needs --n-max >= 2, got {args.n_max}")
         if args.n_max > FIG2_N_MAX:
             raise ResourceError(f"--fig2 sweeps n up to at most {FIG2_N_MAX}, got --n-max {args.n_max}")
+        ns = range(2, args.n_max + 1)
+        epsilons = [args.eps] * len(ns) if args.eps is not None else _fig2_epsilons(ns, args.s)
         reps = []
-        for n in range(2, args.n_max + 1):
+        for n, eps in zip(ns, epsilons):
             m = n**3
-            eps = args.eps if args.eps is not None else 2.0 ** (-(n**args.s))
             log2_c_min, gamma = mc.no_collision_values(m, n)
             reps.append(bounds.k_epsilon_single(
                 m, n, xi=args.xi, epsilon=eps, gamma=gamma, log2_c_min=log2_c_min

@@ -20,14 +20,16 @@ import numpy as np
 
 from .errors import DomainError, ResourceError
 
-#: Largest d * (m + n) enumerate_basis and basis_tables build: d ModeConfigs
-#: of m modes, then a (d, n) column table.  On 2 vCPUs basis_tables took 6.6 s
-#: and 670 MB peak RSS at (m, n) = (21, 7), 24.9 M, and 6.5 s at (100, 3), 17.7 M.
+#: Largest d * (m + n) basis_tables and enumerate_basis build.  On 2 vCPUs, in
+#: fresh processes with numpy's import, basis_tables took 0.24 s and 89 MB peak
+#: RSS at (m, n) = (20, 7), 17.8 M, and 0.04 s and 40 MB at (100, 3), 17.7 M;
+#: enumerate_basis, whose d ModeConfigs of m modes come on top, 3.7 s and 304 MB
+#: at (20, 7) and 2.6 s and 206 MB at (100, 3).
 BASIS_CAP = 20_000_000
 
-#: Largest codebook sample_codebook builds.  As ModeConfig objects, 100 000
-#: codewords of 60 modes take about 3 s and 120 MB to build on 2 vCPUs; a
-#: million take 33 s and 0.9 GB.
+#: Largest codebook sample_codebook builds.  On 2 vCPUs, in fresh processes,
+#: the (M, m) occupancy matrix of 100 000 codewords of 60 modes took 0.08 s and
+#: 47 MB peak RSS; sample_codebook's ModeConfigs of them 2.1-2.3 s and 112 MB.
 CODEBOOK_CAP = 100_000
 
 #: Largest n * min(m, n), the big-integer additions of count_patterns.  On
@@ -211,21 +213,10 @@ def enumerate_basis(m: int, n: int) -> tuple[ModeConfig, ...]:
     The position of a config in this sequence is its canonical index, the
     row of ``basis_tables`` and of every output distribution.
     """
-    _check_basis(m, n)
-    return _basis_cached(m, n)
-
-
-@functools.lru_cache(maxsize=256)
-def _basis_cached(m: int, n: int) -> tuple[ModeConfig, ...]:
-    # sorted mode tuples in lexicographic order are the occupation tuples
-    # in descending lexicographic order
-    out = []
-    for modes in itertools.combinations_with_replacement(range(m), n):
-        occ = [0] * m
-        for mode in modes:
-            occ[mode] += 1
-        out.append(ModeConfig(tuple(occ)))
-    return tuple(out)
+    cols, _ = basis_tables(m, n)
+    occ = np.zeros((len(cols), m), dtype=np.uint8)  # n <= NORM_N_MAX fits
+    np.add.at(occ, (np.arange(len(cols))[:, None], cols), 1)
+    return tuple(ModeConfig(tuple(row.tolist())) for row in occ)
 
 
 def basis_tables(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -242,9 +233,19 @@ def basis_tables(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 @functools.lru_cache(maxsize=256)
 def _tables_cached(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    occ = np.array([cfg.occupations for cfg in enumerate_basis(m, n)]).reshape(-1, m)
-    cols = np.repeat(np.tile(np.arange(m), len(occ)), occ.ravel()).reshape(len(occ), n)
-    norms = np.array([math.factorial(v) for v in range(n + 1)], dtype=float)[occ].prod(axis=1)
+    # sorted mode tuples in lexicographic order are the occupation tuples
+    # in descending lexicographic order
+    d = dim_hilbert(m, n)
+    modes = itertools.chain.from_iterable(itertools.combinations_with_replacement(range(m), n))
+    cols = np.fromiter(modes, dtype=np.intp, count=d * n).reshape(d, n)
+    # float(k!) of each run of k equal modes, multiplied in mode order
+    fact = np.array([math.factorial(v) for v in range(n + 1)], dtype=float)
+    norms, run = np.ones(d), np.ones(d, dtype=np.intp)  # run: length of the run ending at column j - 1
+    for j in range(1, n):
+        same = cols[:, j] == cols[:, j - 1]
+        norms *= np.where(same, 1.0, fact[run])
+        run = np.where(same, run + 1, 1)
+    norms *= fact[run] if n else 1.0
     cols.setflags(write=False)
     norms.setflags(write=False)
     return cols, norms
@@ -321,38 +322,35 @@ def sample_codebook(m: int, n: int, xi: float, rng: Union[int, np.random.Generat
 
     Sampling is without replacement and deterministic for a given seed.
     Rounding is half-up so the cardinality is reproducible across
-    platforms.  M above ``CODEBOOK_CAP`` raises ResourceError before any
-    sampling.
+    platforms.  M above ``CODEBOOK_CAP`` raises ResourceError, and C(m, n)
+    past int64 DomainError, before any sampling.
     """
+    occ = _codebook_occupancy(m, n, xi, rng)
+    return CodeBook(tuple(ModeConfig(tuple(row.tolist())) for row in occ))
+
+
+def _codebook_occupancy(m: int, n: int, xi: float, rng: Union[int, np.random.Generator]) -> np.ndarray:
+    """(M, m) int8 occupancy matrix of ``sample_codebook``'s codewords, in draw order: their
+    lexicographic ranks among the n-subsets of m modes, unranked all at once, one mode per step."""
     M = codebook_size(m, n, xi)
     C = num_codewords(m, n)
+    if C > np.iinfo(np.int64).max:
+        raise DomainError(f"C({m}, {n}) = {C} codewords exceed the int64 ranks of the sampler")
     rng = np.random.default_rng(rng)
     if C <= 1_000_000:
-        picks = rng.permutation(C)[:M]
+        ranks = rng.permutation(C)[:M]
     else:
-        chosen: set[int] = set()
-        order: list[int] = []
-        while len(order) < M:
-            r = int(rng.integers(C))
-            if r not in chosen:
-                chosen.add(r)
-                order.append(r)
-        picks = np.array(order)
-    codewords = tuple(_unrank_combination(m, n, int(r)) for r in picks)
-    return CodeBook(codewords)
-
-
-def _unrank_combination(m: int, n: int, r: int) -> ModeConfig:
-    """r-th n-subset of m modes in lexicographic order, as a ModeConfig."""
-    occ = [0] * m
-    need = n
-    pos = 0
-    while need > 0:
-        block = math.comb(m - pos - 1, need - 1)
-        if r < block:
-            occ[pos] = 1
-            need -= 1
-        else:
-            r -= block
-        pos += 1
-    return ModeConfig(tuple(occ))
+        chosen: dict[int, None] = {}  # distinct ranks in first-draw order
+        while len(chosen) < M:
+            chosen.setdefault(int(rng.integers(C)))
+        ranks = np.array(list(chosen), dtype=np.int64)
+    # block[a, k] = C(a, k - 1), 0 at k = 0; no rank reaches an entry above C
+    block = np.array([[0] + [min(math.comb(a, k), C) for k in range(n)] for a in range(m)], dtype=np.int64)
+    occ = np.zeros((M, m), dtype=np.int8)
+    need = np.full(M, n)
+    for pos in range(m):
+        b = block[m - pos - 1, need]
+        occ[:, pos] = take = ranks < b
+        ranks = ranks - np.where(take, 0, b)
+        need = need - take
+    return occ

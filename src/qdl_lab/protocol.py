@@ -19,7 +19,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .errors import DomainError, ResourceError
-from .fock import CodeBook, ModeConfig, _check_basis, codebook_size, dim_hilbert, sample_codebook
+from .fock import CodeBook, ModeConfig, _check_basis, _codebook_occupancy, codebook_size, dim_hilbert
 from .linop import BLOCK_BYTES, check_unitary, haar_batch, output_distributions
 
 SHARD = 4096
@@ -326,8 +326,9 @@ def run_trials(
 ) -> TrialSummary:
     """Simulate the protocol and report empirical diagnostics.
 
-    The codebook (stream ``[seed, 2]``) and the (K, m, m) ``gen_unitary_pool``
-    array (stream ``[seed, 1]``) are sampled once and handed to every shard.
+    The (M, m) codebook occupancy (stream ``[seed, 2]``) and the (K, m, m)
+    ``gen_unitary_pool`` array (stream ``[seed, 1]``) are sampled once, as
+    arrays, and handed to every shard.
     Trials are sharded by index (``SHARD`` per shard) with per-shard RNG
     streams, and ``_process_map`` maps the shards over up to ``workers``
     processes, so the transcript is identical for any worker count.  Each
@@ -351,8 +352,7 @@ def run_trials(
     codebook_size(config.m, config.n, config.xi)
     _check_basis(config.m, config.n)
     units = gen_unitary_pool(config.m, config.K, np.random.default_rng([config.seed, 1]))
-    codebook = sample_codebook(config.m, config.n, config.xi, np.random.default_rng([config.seed, 2]))
-    occ = np.array([cw.occupations for cw in codebook.codewords], dtype=np.int8)
+    occ = _codebook_occupancy(config.m, config.n, config.xi, np.random.default_rng([config.seed, 2]))
     M = len(occ)
     shards = [
         (config, occ, units, idx, start, min(SHARD, config.trials - start), collect_records)

@@ -220,6 +220,25 @@ class TestKeysize:
         assert "--n-max >= 2" in err
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("s,n_max,first", [("2000", "3", 2), ("1", "1100", 1075)])
+    def test_fig2_default_epsilon_underflow(self, tmp_path, capsys, s, n_max, first):
+        # 2^(-n^s) is 0 in floats once n^s > 1074, or n^s itself overflows
+        out_path = tmp_path / "fig2.csv"
+        code, out, err = run_cli(
+            ["keysize", "--fig2", "--s", s, "--n-max", n_max, "--out", str(out_path)], capsys
+        )
+        assert code == 2 and out == ""
+        assert f"from n = {first} at --s {s};" in err
+        assert "--n-max" in err and "--eps" in err and "got 0.0" not in err
+        assert not out_path.exists()
+
+    def test_fig2_smallest_default_epsilon(self, tmp_path, capsys):
+        out_path = tmp_path / "fig2.csv"
+        code, _, _ = run_cli(["keysize", "--fig2", "--s", "1", "--n-max", "1074", "--out", str(out_path)], capsys)
+        assert code == 0
+        last = out_path.read_text().splitlines()[-1].split(",")
+        assert int(last[0]) == 1074 and float(last[2]) == 2.0**-1074
+
     def test_literal_gamma(self, capsys):
         code, out, _ = run_cli(
             ["keysize", "30", "10", "--xi", "1", "--eps", "1e-8",

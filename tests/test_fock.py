@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -107,12 +108,20 @@ class TestEnumeration:
         assert len(basis) == 1500
         assert basis[0].occupations[0] == 1 and basis[-1].occupations[-1] == 1
 
-    @pytest.mark.parametrize("m,n", [(1, 3), (4, 1), (5, 3), (3, 6)])
+    @pytest.mark.parametrize(
+        "m,n", [(1, 0), (3, 0), (1, 3), (4, 1), (5, 3), (3, 6), (7, 4), (2, 25), (3, 24)]
+    )
     def test_basis_tables(self, m, n, monkeypatch):
+        # reference: every occupation tuple of sum n, in descending order
+        basis = sorted((o for o in itertools.product(range(n + 1), repeat=m) if sum(o) == n), reverse=True)
+        occ = np.array(basis).reshape(len(basis), m)
         cols, norms = basis_tables(m, n)
-        basis = enumerate_basis(m, n)
-        assert cols.tolist() == [list(cfg.modes) for cfg in basis]
-        assert norms.tolist() == [math.prod(map(math.factorial, cfg.occupations)) for cfg in basis]
+        assert cols.shape == (len(basis), n)
+        assert cols.tolist() == [[i for i, v in enumerate(o) for _ in range(v)] for o in basis]
+        # the factorial norms carry the bits of prod over modes of float(n_j!)
+        fact = np.array([math.factorial(v) for v in range(n + 1)], dtype=float)
+        assert norms.tobytes() == fact[occ].prod(axis=1).tobytes()
+        assert [c.occupations for c in enumerate_basis(m, n)] == basis
         assert not cols.flags.writeable and not norms.flags.writeable
         # the cached (m, n) entry does not pass a lowered cap
         monkeypatch.setattr(fock, "BASIS_CAP", len(basis) * (m + n) - 1)
@@ -213,8 +222,50 @@ class TestCodebook:
         with pytest.raises(DomainError):
             sample_codebook(4, 2, 1.5, rng=0)
 
+    @pytest.mark.parametrize(
+        "m,n,xi", [(8, 3, 1.0), (6, 2, 0.6), (100, 99, 1.0), (25, 8, 0.01), (30, 15, 1e-4)]
+    )
+    def test_unrank_matches_scalar(self, m, n, xi):
+        # C(25, 8) = 1 081 575 and C(30, 15) = 155 117 520 take the rejection path
+        C, M = math.comb(m, n), fock.codebook_size(m, n, xi)
+        rng = np.random.default_rng(11)
+        if C <= 1_000_000:
+            ranks = rng.permutation(C)[:M].tolist()
+        else:
+            ranks, seen = [], set()
+            while len(ranks) < M:
+                r = int(rng.integers(C))
+                if r not in seen:
+                    seen.add(r)
+                    ranks.append(r)
+        cb = sample_codebook(m, n, xi, rng=np.random.default_rng(11))
+        assert [cw.occupations for cw in cb.codewords] == [_unrank(m, n, r) for r in ranks]
+
+    def test_ranks_past_int64(self):
+        # C(200, 100) ~ 9e58 ranks do not fit the sampler; the check precedes any draw
+        rng = np.random.default_rng(0)
+        with pytest.raises(DomainError, match="int64"):
+            sample_codebook(200, 100, 1e-55, rng=rng)
+        assert rng.random() == np.random.default_rng(0).random()
+
     def test_codebook_invariants(self):
         with pytest.raises(DomainError):
             CodeBook((ModeConfig((2, 0)),))
         with pytest.raises(DomainError):
             CodeBook((ModeConfig((1, 0)), ModeConfig((1, 0))))
+
+
+def _unrank(m, n, r):
+    """r-th n-subset of m modes in lexicographic order, as an occupation tuple."""
+    occ = [0] * m
+    need = n
+    pos = 0
+    while need > 0:
+        block = math.comb(m - pos - 1, need - 1)
+        if r < block:
+            occ[pos] = 1
+            need -= 1
+        else:
+            r -= block
+        pos += 1
+    return tuple(occ)

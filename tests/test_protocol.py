@@ -293,6 +293,18 @@ class TestRunTrials:
         with pytest.raises(ResourceError):
             run_trials(cfg)
 
+    @pytest.mark.parametrize("collect", [False, True])
+    def test_configs_only_for_records(self, monkeypatch, collect):
+        # the codebook and tables are arrays: only records build ModeConfigs
+        built = []
+        for cls in (ModeConfig, CodeBook):
+            post_init = cls.__post_init__
+            monkeypatch.setattr(cls, "__post_init__", lambda self, f=post_init: built.append(self) or f(self))
+        cfg = ProtocolConfig(m=6, n=2, K=4, xi=0.6, eta=0.7, trials=300, seed=8)
+        s = run_trials(cfg, collect_records=collect)
+        assert all(type(b) is ModeConfig for b in built)
+        assert (0 < len(built) <= cfg.trials) if collect else not built
+
     def test_exhaustive_roundtrip_small_spaces(self):
         # noiseless keyed decoding is exact for every (codeword, key) pair
         for m, n, K in [(4, 2, 8), (5, 2, 6), (4, 3, 6)]:
